@@ -1,32 +1,35 @@
-"""Internet-scale topology study: sparse vs dense estimation path.
+"""Internet-scale topology study: CSR routes and entry-run equations
+against the dense design.
 
-ROADMAP item 3 asks for 10k+-node AS graphs, where the eager structures
-(networkx router graphs, per-path Python tuples, dense equation rows)
-dominate memory. This driver builds the *same* monitored network and fit
-twice per size — once through the historical dense structures, once
-through the sparse path (CSR :class:`~repro.topology.routing.CompactGraph`
-adjacency, :class:`~repro.topology.routing.SparseRouteTable` routes,
-observed-only unknown admission, sparse equation arenas) — and records
-wall time, structure bytes, peak traced allocation, and content digests
-of both the derived routes and the final estimates.
+At 10k+-node AS graphs the eager structures (networkx router graphs,
+per-path Python tuples, dense equation rows) dominate memory. This driver
+derives the *same* monitored network twice per size — once through the
+networkx route derivation, once through the CSR
+:class:`~repro.topology.routing.CompactGraph` adjacency and
+:class:`~repro.topology.routing.SparseRouteTable` routes — and fits it
+once per arm with observed-only unknown admission. It records wall time,
+structure bytes, peak traced allocation, and content digests of both the
+derived routes and the final estimates.
 
 The digests are the contract: every (size, seed) cell must produce
-**bit-identical** routes and estimates in both modes, so the sparse path
-is a pure memory/performance optimisation, never a semantic fork. The
+**bit-identical** routes and estimates in both arms, so the CSR path is a
+pure memory/performance optimisation, never a semantic fork. The
 ``scaling-topology`` campaign and
 ``benchmarks/test_bench_scaling_topology.py`` assert exactly that, plus a
 >= 3x structure-memory reduction at 1k nodes.
 
-Two memory columns, two roles. ``structure_bytes`` is what the sparse
-path replaces: retained construction structures (graph, router->AS map,
-route storage — measured as a traced-allocation delta inside
-:func:`~repro.datasets.base.derive_network_compact`) plus the assembled
-equation system's logical storage
-(:attr:`~repro.linalg.system.EquationSystem.storage_nbytes`). The >= 3x
-gate applies to it. ``peak_traced_bytes`` is the whole-trial allocation
-peak, dominated by the *shared* solve transients — both modes densify the
-same unique rows for the identical QR/NNLS solve, so it is reported for
-context but never gated on a ratio.
+Two memory columns, two roles. ``structure_bytes`` is retained
+construction structures (graph, router->AS map, route storage — measured
+as a traced-allocation delta inside
+:func:`~repro.datasets.base.derive_network_compact`) plus the equation
+storage. Equations are always stored as entry runs; the ``sparse`` arm
+reports their logical bytes
+(:attr:`~repro.linalg.system.EquationSystem.storage_nbytes`), while the
+``dense`` arm reports what the same system costs as dense rows,
+:func:`dense_equation_bytes`. The >= 3x gate applies to this column.
+``peak_traced_bytes`` is the whole-trial allocation peak, dominated by the
+*shared* solve transients (the solve densifies the unique rows), so it is
+reported for context but never gated on a ratio.
 """
 
 from __future__ import annotations
@@ -60,7 +63,8 @@ SIZES_BY_SCALE: Dict[str, List[int]] = {
     "paper": [1000, 5000, 10000],
 }
 
-#: Both construction/estimation modes, compared pairwise per size.
+#: Both arms — networkx routes + dense-row footprint, CSR routes + entry
+#: runs — compared pairwise per size.
 MODES = ("dense", "sparse")
 
 #: Simulation horizon of the per-size fit (kept modest: the subject under
@@ -178,6 +182,16 @@ class ScalingTopologyResult:
         )
 
 
+def dense_equation_bytes(num_equations: int, num_unknowns: int) -> int:
+    """Logical bytes of an equation system stored as dense rows.
+
+    ``num_equations x num_unknowns`` float64 cells plus a rhs, weight and
+    prior flag per row — the footprint the dense arm of the study is
+    measured against.
+    """
+    return num_equations * num_unknowns * 8 + num_equations * (8 + 8 + 1)
+
+
 def _dataset_spec(num_nodes: int, seed: int) -> DatasetSpec:
     """Monitoring deployment per size: bounded probing over a huge graph."""
     return DatasetSpec(
@@ -285,20 +299,20 @@ def scaling_topology_trial(
                 )
                 estimator = make_estimator(
                     "Correlation-complete",
-                    EstimatorConfig(
-                        # Observed-only admission (the lazily-discovered
-                        # unknown policy) in BOTH modes, so the sparse flag
-                        # stays a pure mechanics switch.
-                        requested_subset_size=1,
-                        sparse=sparse,
-                        seed=seed,
-                    ),
+                    # Observed-only admission (the lazily-discovered
+                    # unknown policy) in both arms.
+                    EstimatorConfig(requested_subset_size=1, seed=seed),
                 )
                 model = estimator.fit(network, experiment.observations)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
     report = model.report  # type: ignore[attr-defined]
+    equation_bytes = (
+        report.equation_storage_bytes
+        if sparse
+        else dense_equation_bytes(report.num_equations, report.num_unknowns)
+    )
     return ScalingTopologyRow(
         num_nodes=num_nodes,
         mode=mode,
@@ -309,7 +323,7 @@ def scaling_topology_trial(
         build_seconds=build_timer.elapsed,
         fit_seconds=fit_timer.elapsed,
         construction_bytes=int(build_stats.get("construction_bytes", 0)),
-        equation_storage_bytes=int(report.equation_storage_bytes),
+        equation_storage_bytes=int(equation_bytes),
         peak_traced_bytes=int(peak),
         rss_bytes=read_rss_bytes(),
         route_digest=_digest_routes(network),
@@ -336,7 +350,7 @@ def run_scaling_topology(
     progress: Optional[ProgressFn] = None,
     executor: Optional[str] = "process",
 ) -> ScalingTopologyResult:
-    """Sweep sparse-vs-dense construction and estimation across sizes."""
+    """Sweep both arms' construction and estimation across sizes."""
     results = run_trials(
         scaling_topology_trial,
         scaling_topology_specs(scale, seed, sizes),

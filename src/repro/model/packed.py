@@ -14,13 +14,6 @@ congestion counts are per-row popcounts) and supports cheap interval
 slicing for windowed estimation: a word-aligned window is a column slice of
 the word matrix plus a tail mask, with no re-packing of the horizon.
 
-Two interchangeable backends implement the storage contract:
-
-* :class:`PackedBackend` — the ``uint64`` columnar store (default);
-* :class:`DenseBackend` — the original boolean matrix, kept for tests,
-  tiny inputs, and as the executable specification the packed kernels are
-  property-tested against.
-
 The packed backend's two hot loops — the batched gather/OR/popcount of
 :meth:`PackedBackend.all_good_counts` and the row popcounts of
 :meth:`PackedBackend.congestion_counts` — dispatch through the pluggable
@@ -113,8 +106,6 @@ class PackedBackend:
     num_intervals:
         The observation horizon ``T`` (``<= num_words * 64``).
     """
-
-    name = "packed"
 
     def __init__(self, words: np.ndarray, num_intervals: int) -> None:
         # `asarray` (not `ascontiguousarray`): a non-contiguous column view
@@ -282,60 +273,3 @@ class PackedBackend:
             window_bytes[:, : packed.shape[1]] = packed
             window = window_bytes.view(np.uint64)
         return PackedBackend(window, length)
-
-
-class DenseBackend:
-    """The original boolean ``(T, paths)`` store — reference semantics.
-
-    Kept as the executable specification for the packed kernels (the
-    equivalence suite checks every query agrees between backends) and for
-    callers that want the plain matrix without the packing round-trip.
-    """
-
-    name = "dense"
-
-    def __init__(self, congested: np.ndarray) -> None:
-        congested = np.asarray(congested, dtype=bool)
-        if congested.ndim != 2:
-            raise ValueError("DenseBackend expects a 2-D (T, paths) matrix")
-        self._congested = congested
-
-    @classmethod
-    def from_dense(cls, congested: np.ndarray) -> "DenseBackend":
-        return cls(congested)
-
-    @property
-    def num_intervals(self) -> int:
-        return self._congested.shape[0]
-
-    @property
-    def num_paths(self) -> int:
-        return self._congested.shape[1]
-
-    def dense(self) -> np.ndarray:
-        return self._congested
-
-    def congested_in_interval(self, interval: int) -> np.ndarray:
-        if not 0 <= interval < self.num_intervals:
-            raise IndexError(f"interval {interval} outside horizon")
-        return self._congested[interval]
-
-    def congestion_counts(self) -> np.ndarray:
-        return self._congested.sum(axis=0, dtype=np.int64)
-
-    def all_good_counts(self, path_sets: Sequence[Sequence[int]]) -> np.ndarray:
-        counts = np.empty(len(path_sets), dtype=np.int64)
-        total = self.num_intervals
-        for i, path_set in enumerate(path_sets):
-            indices = list(path_set)
-            if not indices:
-                counts[i] = total
-                continue
-            congested_any = self._congested[:, indices].any(axis=1)
-            counts[i] = total - int(congested_any.sum())
-        return counts
-
-    def slice_intervals(self, start: int, stop: int) -> "DenseBackend":
-        if not 0 <= start <= stop <= self.num_intervals:
-            raise IndexError(f"window [{start}, {stop}) outside horizon")
-        return DenseBackend(self._congested[start:stop])

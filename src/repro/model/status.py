@@ -6,13 +6,11 @@ Link status ``X_e(t)`` and path status ``Y_p(t)`` are 0 for *good* and 1 for
 path-status matrix with the empirical frequency queries every
 probability-computation algorithm consumes.
 
-Storage is columnar and bit-packed by default (:mod:`repro.model.packed`):
+Storage is columnar and bit-packed (:mod:`repro.model.packed`):
 path statuses live as ``uint64`` words, and the hot query — the empirical
 all-good frequency of a path set, Eq. 1's left-hand side — is an
 OR-reduction over packed rows plus a popcount, batched over many path sets
-at once via :meth:`ObservationMatrix.all_good_frequencies`. The dense
-boolean backend remains available (``backend="dense"``) for tests and as
-the reference semantics.
+at once via :meth:`ObservationMatrix.all_good_frequencies`.
 """
 
 from __future__ import annotations
@@ -22,14 +20,12 @@ from typing import FrozenSet, Iterable, Sequence, Union
 
 import numpy as np
 
-from repro.model.packed import DenseBackend, PackedBackend
+from repro.model.packed import PackedBackend
 
 #: Status value for a good link or path (``X = 0`` / ``Y = 0``).
 GOOD = 0
 #: Status value for a congested link or path (``X = 1`` / ``Y = 1``).
 CONGESTED = 1
-
-_BACKENDS = {"packed": PackedBackend, "dense": DenseBackend}
 
 
 @dataclass(frozen=True)
@@ -59,49 +55,30 @@ class ObservationMatrix:
     congested:
         Boolean matrix of shape (T, num_paths); ``congested[t, p]`` is true
         iff path ``p`` was observed congested during interval ``t``
-        (``Y_p(t) = 1``). To wrap an already-constructed storage backend
-        without a dense round-trip, use :meth:`from_backend` instead.
-    backend:
-        ``"packed"`` (default) stores statuses as uint64 words and answers
-        frequency queries with popcount kernels; ``"dense"`` keeps the
-        boolean matrix and scans it (reference semantics).
+        (``Y_p(t) = 1``). Statuses are stored bit-packed
+        (:class:`~repro.model.packed.PackedBackend`); to wrap an
+        already-constructed storage backend without a dense round-trip, use
+        :meth:`from_backend` instead.
     """
 
-    def __init__(
-        self,
-        congested: Union[np.ndarray, Sequence],
-        backend: str = "packed",
-    ) -> None:
-        try:
-            factory = _BACKENDS[backend]
-        except KeyError:
-            raise ValueError(
-                f"unknown observation backend {backend!r}; "
-                f"expected one of {sorted(_BACKENDS)}"
-            ) from None
+    def __init__(self, congested: Union[np.ndarray, Sequence]) -> None:
         congested = np.asarray(congested, dtype=bool)
         if congested.ndim != 2:
             raise ValueError("ObservationMatrix expects a 2-D (T, paths) matrix")
-        self._backend = factory.from_dense(congested)
+        self._backend = PackedBackend.from_dense(congested)
 
     @classmethod
-    def from_backend(
-        cls, backend: Union[PackedBackend, DenseBackend]
-    ) -> "ObservationMatrix":
+    def from_backend(cls, backend: PackedBackend) -> "ObservationMatrix":
         """Wrap an existing storage backend without a dense round-trip.
 
         This is how the simulator hands over observations it packed while
         generating them, so large horizons never materialise the full
-        boolean matrix.
+        boolean matrix. Any object with the backend's query methods is
+        accepted; the test suite wraps its dense reference store this way.
         """
         matrix = cls.__new__(cls)
         matrix._backend = backend
         return matrix
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the active storage backend (``"packed"`` or ``"dense"``)."""
-        return self._backend.name
 
     @property
     def num_intervals(self) -> int:
@@ -117,8 +94,8 @@ class ObservationMatrix:
     def matrix(self) -> np.ndarray:
         """The boolean (T, paths) congestion matrix (read-only).
 
-        With the packed backend this materialises the dense matrix on
-        demand; prefer the frequency queries, which run on packed words.
+        This materialises the dense matrix on demand; prefer the frequency
+        queries, which run on packed words.
         """
         return self._backend.dense()
 

@@ -20,6 +20,7 @@ plumbing lives here. ``FrequencyCache`` and ``FitReport`` are defined in
 
 from __future__ import annotations
 
+import math
 import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
@@ -94,15 +95,13 @@ class EstimatorConfig:
         accordingly. The Correlation-heuristic baseline deliberately ignores
         this (its unweighted redundant pool is the noise source the paper
         describes).
+    prior_weight:
+        Precision of Correlation-complete's regulariser rows; ``0`` turns
+        the priors off. Must be finite and non-negative.
     sparse:
-        Assemble and solve the equation system in sparse-row storage
-        (column-index + value runs instead of dense ``num_unknowns``-wide
-        rows). Purely a storage/solve-mechanics switch: admitted unknowns,
-        equations, and solutions are bit-identical to the dense path —
-        combine with ``requested_subset_size=1`` (lazily-discovered
-        unknowns, see
-        :meth:`~repro.probability.subsets.SubsetIndex.build_observed`)
-        for the full internet-scale configuration.
+        Accepted and ignored: equations are always stored as
+        ``(column, value)`` entry runs. The field exists only because
+        ``perfbench/workloads.py`` still passes it.
     seed:
         Randomness for sampled candidate pools and tie-breaking.
     """
@@ -134,6 +133,8 @@ class EstimatorConfig:
             raise EstimationError("path-set enumeration bounds must be >= 1")
         if not 0.0 <= self.min_frequency < 1.0:
             raise EstimationError("min_frequency must be in [0, 1)")
+        if not (math.isfinite(self.prior_weight) and self.prior_weight >= 0.0):
+            raise EstimationError("prior_weight must be finite and >= 0")
 
 
 def log_frequency_weight(frequency: float, num_intervals: int) -> float:

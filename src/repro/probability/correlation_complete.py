@@ -85,12 +85,7 @@ class CorrelationCompleteEstimator(ProbabilityEstimator):
             context.index, context.frequency, context.pool, context.path_sets
         )
         all_sets = list(context.path_sets) + list(context.extra_path_sets)
-        if self.config.sparse:
-            flat_positions, row_lengths, usable = context.index.decompose_batch(
-                all_sets
-            )
-        else:
-            rows, usable = context.index.rows_matrix(all_sets)
+        flat_positions, row_lengths, usable = context.index.decompose_batch(all_sets)
         if not usable.all():
             raise EstimationError("selected path set became unusable")
         freqs = context.frequency.query_many(all_sets)
@@ -99,17 +94,8 @@ class CorrelationCompleteEstimator(ProbabilityEstimator):
             if self.config.weighted
             else np.ones(len(all_sets))
         )
-        system = EquationSystem(
-            len(context.index),
-            workspace=context.system_workspace,
-            sparse=self.config.sparse,
-        )
-        if self.config.sparse:
-            system.add_sparse_batch(
-                flat_positions, row_lengths, np.log(freqs), weights
-            )
-        else:
-            system.add_batch(rows, np.log(freqs), weights)
+        system = EquationSystem(len(context.index), workspace=context.system_workspace)
+        system.add_sparse_batch(flat_positions, row_lengths, np.log(freqs), weights)
         self._add_prior_equations(system, context.index)
         context.system = system
         context.used_path_sets = list(context.path_sets)

@@ -303,9 +303,9 @@ class SubsetIndex:
         ``flat_positions`` concatenates each usable path set's unknown
         positions (in decomposition order), ``row_lengths`` holds the
         per-row counts, and ``usable`` is the same mask
-        :meth:`rows_matrix` reports. This is the discover/assemble
-        primitive of the sparse estimation mode — rows never densify to
-        ``len(self)`` width here.
+        :meth:`rows_matrix` reports. Every estimator assembles its
+        equations from this — rows never densify to ``len(self)`` width
+        here.
         """
         usable = np.zeros(len(path_sets), dtype=bool)
         flat_positions: List[int] = []

@@ -1,10 +1,10 @@
 """The scaling-topology study: spec grid, trial cells, and the campaign.
 
 Runs the real trial function at a deliberately small node count — the
-full 1k/10k sweep lives in ``benchmarks/`` and CI's scale-smoke job —
-and pins the properties the campaign gates on: dense/sparse digests
-agree (bit-identity), structure bytes favour sparse, and the outcome
-summary carries the ratio the CI assertion reads.
+full 1k/10k sweep lives in ``benchmarks/`` and CI's scale-routes-memory
+job — and pins the properties the campaign gates on: networkx/CSR digests
+agree (bit-identity), structure bytes favour the CSR + entry-run arm, and
+the outcome summary carries the ratio the CI assertion reads.
 """
 
 from __future__ import annotations

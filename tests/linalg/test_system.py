@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.optimize import lsq_linear
 
+from repro import obs
 from repro.exceptions import EstimationError
+from repro.linalg import system as system_module
 from repro.linalg.system import EquationSystem
 
 
@@ -97,3 +100,92 @@ def test_matrix_and_rhs_accessors():
     assert system.matrix.shape == (1, 2)
     assert system.rhs.tolist() == [4.0]
     assert len(system) == 1
+
+
+@pytest.mark.parametrize(
+    "row,rhs,weight",
+    [
+        ([1.0, 0.0], 0.0, float("nan")),
+        ([1.0, 0.0], 0.0, float("inf")),
+        ([1.0, 0.0], float("inf"), 1.0),
+        ([1.0, 0.0], float("nan"), 1.0),
+        ([float("nan"), 1.0], 0.0, 1.0),
+        ([float("-inf"), 1.0], 0.0, 1.0),
+    ],
+)
+def test_non_finite_equation_rejected(row, rhs, weight):
+    system = EquationSystem(2)
+    with pytest.raises(EstimationError, match="finite"):
+        system.add(np.array(row), rhs, weight=weight)
+    assert len(system) == 0
+
+
+def test_non_finite_entry_run_rejected():
+    system = EquationSystem(3)
+    with pytest.raises(EstimationError, match="finite"):
+        system.add_sparse_batch(
+            np.array([0, 2]), np.array([2]), np.array([-0.1]), values=[1.0, np.inf]
+        )
+    with pytest.raises(EstimationError, match="finite"):
+        system.add_sparse_batch(
+            np.array([0, 2]), np.array([2]), np.array([-0.1]), np.array([np.nan])
+        )
+    with pytest.raises(EstimationError, match="positive"):
+        system.add_sparse_batch(
+            np.array([0, 2]), np.array([2]), np.array([-0.1]), np.array([-1.0])
+        )
+    assert len(system) == 0
+
+
+def _fallback_system():
+    """Overdetermined, full rank, with the x <= 0 bound binding."""
+    rng = np.random.default_rng(21)
+    matrix = (rng.random((40, 6)) < 0.5).astype(float)
+    matrix[:6] = np.eye(6)
+    rhs = matrix @ np.array([-0.4, -0.1, 0.3, -0.2, 0.2, -0.6])
+    rhs += 0.01 * rng.standard_normal(40)
+    weights = 0.5 + rng.random(40)
+    system = EquationSystem(6)
+    system.add_batch(matrix, rhs, weights)
+    return system, matrix, rhs, weights
+
+
+def _failing_nnls(*args, **kwargs):
+    raise RuntimeError("Maximum number of iterations reached.")
+
+
+def test_nnls_fallback_respects_bound_and_matches_lsq_linear(monkeypatch):
+    system, matrix, rhs, weights = _fallback_system()
+    monkeypatch.setattr(system_module, "nnls", _failing_nnls)
+    solution = system.solve(upper_bound=0.0)
+    assert (solution.values <= 0.0).all()
+    expected = lsq_linear(
+        matrix * weights[:, None], rhs * weights, bounds=(-np.inf, 0.0)
+    ).x
+    assert np.allclose(solution.values, expected, atol=1e-8)
+    # The bound really binds: the unconstrained minimiser violates it.
+    unbounded = np.linalg.lstsq(matrix * weights[:, None], rhs * weights, rcond=None)
+    assert (unbounded[0] > 0.0).any()
+
+
+def _fallback_count(snapshot):
+    for name, _labels, value in snapshot["counters"]:
+        if name == "repro_linalg_nnls_fallbacks_total":
+            return value
+    return 0
+
+
+def test_nnls_fallback_is_counted_when_metrics_are_on(monkeypatch):
+    monkeypatch.setattr(system_module, "nnls", _failing_nnls)
+    with obs.use_mode("metrics"), obs.capture_metrics() as captured:
+        _fallback_system()[0].solve(upper_bound=0.0)
+    assert _fallback_count(captured.snapshot()) == 1
+    with obs.use_mode("off"), obs.capture_metrics() as captured:
+        _fallback_system()[0].solve(upper_bound=0.0)
+    assert _fallback_count(captured.snapshot()) == 0
+
+
+def test_nnls_success_is_not_counted():
+    with obs.use_mode("metrics"), obs.capture_metrics() as captured:
+        _fallback_system()[0].solve(upper_bound=0.0)
+    assert _fallback_count(captured.snapshot()) == 0

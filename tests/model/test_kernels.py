@@ -38,6 +38,7 @@ from repro.model.kernels.numpy_kernel import (
 )
 from repro.model.status import ObservationMatrix
 from repro.streaming.buffer import PackedRingBuffer
+from tests.model.dense_backend import dense_observations
 
 
 @pytest.fixture(autouse=True)
@@ -177,7 +178,7 @@ class TestKernelParity:
         """Raw kernel call vs dense reference, dummy padding and length 0."""
         rng = np.random.default_rng(31)
         matrix = rng.random((3 * 64 + 17, 19)) < 0.35
-        obs = ObservationMatrix(matrix, backend="packed")
+        obs = ObservationMatrix(matrix)
         words = obs._backend.words
         num_paths = matrix.shape[1]
         path_sets = [[], [0], [num_paths - 1], list(range(num_paths))] + [
@@ -199,7 +200,7 @@ class TestKernelParity:
     def test_congestion_counts_match_dense(self, name):
         rng = np.random.default_rng(37)
         matrix = rng.random((5 * 64 + 1, 11)) < 0.5
-        obs = ObservationMatrix(matrix, backend="packed")
+        obs = ObservationMatrix(matrix)
         with use_kernel(name):
             np.testing.assert_array_equal(
                 obs._backend.congestion_counts(),
@@ -216,8 +217,8 @@ class TestKernelParity:
         """
         rng = np.random.default_rng(41)
         matrix = rng.random((7 * 64 + 13, 23)) < 0.3
-        packed = ObservationMatrix(matrix, backend="packed")
-        dense = ObservationMatrix(matrix, backend="dense")
+        packed = ObservationMatrix(matrix)
+        dense = dense_observations(matrix)
         num_paths = matrix.shape[1]
         with use_kernel(name):
             for offset in (0, 1, 31, 63, 64, 65, 127, 200):
@@ -261,9 +262,7 @@ class TestKernelParity:
                 (ring.first_interval, ring.end_interval),
             ):
                 window = ring.window(start, stop)
-                reference = ObservationMatrix(
-                    stream[start:stop], backend="dense"
-                )
+                reference = dense_observations(stream[start:stop])
                 sets = [[]] + [
                     sorted(
                         rng.choice(num_paths, size=k, replace=False).tolist()
@@ -299,7 +298,7 @@ class TestKernelParity:
 def test_numpy_kernel_scratch_caches_padded_words():
     rng = np.random.default_rng(53)
     matrix = rng.random((100, 5)) < 0.5
-    obs = ObservationMatrix(matrix, backend="packed")
+    obs = ObservationMatrix(matrix)
     kernel = NumpyKernel()
     words = obs._backend.words
     scratch: dict = {}
@@ -318,7 +317,7 @@ def test_backend_pickle_drops_kernel_scratch():
     import pickle
 
     rng = np.random.default_rng(59)
-    obs = ObservationMatrix(rng.random((130, 7)) < 0.5, backend="packed")
+    obs = ObservationMatrix(rng.random((130, 7)) < 0.5)
     obs.all_good_frequencies([[0, 1], [2]])  # populate the scratch
     restored = pickle.loads(pickle.dumps(obs))
     assert restored._backend._kernel_scratch == {}

@@ -1,7 +1,8 @@
-"""Packed vs dense observation backends: equivalence property tests.
+"""Packed observation backend vs the dense oracle: equivalence properties.
 
-The bit-packed ``uint64`` backend is the production storage; the dense
-boolean backend is the executable specification. These tests check that
+The bit-packed ``uint64`` backend is the production storage; the frozen
+dense boolean store (``tests/model/dense_backend.py``) is the executable
+specification. These tests check that
 every frequency query agrees between the two across randomized observation
 matrices (including horizons that are not a multiple of 64, all-good and
 all-congested extremes), that interval slicing agrees at arbitrary (word-
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.model.packed import WORD_BITS, pack_bool_matrix, unpack_words
+from repro.model.packed import WORD_BITS, PackedBackend, pack_bool_matrix, unpack_words
 from repro.model.status import ObservationMatrix
 from repro.probability.base import EstimatorConfig
 from repro.probability.correlation_complete import CorrelationCompleteEstimator
@@ -24,6 +25,7 @@ from repro.simulation.congestion import CongestionModel, Driver
 from repro.simulation.experiment import run_experiment
 from repro.simulation.probing import oracle_path_status
 from repro.simulation.scenarios import ScenarioConfig, ScenarioKind, build_scenario
+from tests.model.dense_backend import dense_observations
 
 
 def _random_matrices(seed: int, trials: int):
@@ -67,10 +69,9 @@ def test_pack_roundtrip_exact():
 def test_query_equivalence_randomized():
     rng = np.random.default_rng(2)
     for matrix in _random_matrices(seed=3, trials=60):
-        packed = ObservationMatrix(matrix, backend="packed")
-        dense = ObservationMatrix(matrix, backend="dense")
-        assert packed.backend_name == "packed"
-        assert dense.backend_name == "dense"
+        packed = ObservationMatrix(matrix)
+        dense = dense_observations(matrix)
+        assert isinstance(packed._backend, PackedBackend)
         sets = _random_path_sets(rng, matrix.shape[1])
         np.testing.assert_allclose(
             packed.all_good_frequencies(sets),
@@ -102,8 +103,8 @@ def test_query_equivalence_randomized():
 def test_slice_equivalence_aligned_and_unaligned():
     rng = np.random.default_rng(4)
     matrix = rng.random((500, 17)) < 0.3
-    packed = ObservationMatrix(matrix, backend="packed")
-    dense = ObservationMatrix(matrix, backend="dense")
+    packed = ObservationMatrix(matrix)
+    dense = dense_observations(matrix)
     windows = [(0, 64), (64, 192), (0, 500), (3, 130), (65, 100), (499, 500), (100, 100)]
     windows += [tuple(sorted(rng.integers(0, 501, size=2).tolist())) for _ in range(20)]
     for start, stop in windows:
@@ -130,11 +131,6 @@ def test_slice_out_of_range_rejected():
         obs.slice_intervals(0, 11)
 
 
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        ObservationMatrix(np.zeros((2, 2), dtype=bool), backend="sparse")
-
-
 def test_padding_bits_never_leak():
     # All-congested with T one past a word boundary: the 63 padding bits
     # must not count as good intervals.
@@ -145,7 +141,7 @@ def test_padding_bits_never_leak():
 
 
 def _dense_copy(observations: ObservationMatrix) -> ObservationMatrix:
-    return ObservationMatrix(observations.matrix, backend="dense")
+    return dense_observations(observations.matrix)
 
 
 @pytest.fixture(scope="module")
@@ -212,7 +208,7 @@ def test_estimator_outputs_identical_on_simulated_scenario():
     )
     scenario = build_scenario(network, ScenarioConfig(kind=ScenarioKind.RANDOM), 17)
     experiment = run_experiment(scenario, 400, random_state=19)
-    assert experiment.observations.backend_name == "packed"
+    assert isinstance(experiment.observations._backend, PackedBackend)
     for estimator_factory in (
         lambda: IndependenceEstimator(EstimatorConfig(seed=3)),
         lambda: CorrelationCompleteEstimator(EstimatorConfig(seed=3)),

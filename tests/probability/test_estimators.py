@@ -98,6 +98,17 @@ def test_config_validation():
         EstimatorConfig(pruning_tolerance=-0.1).validate()
 
 
+@pytest.mark.parametrize("prior_weight", [float("nan"), float("inf"), -1.0])
+def test_config_rejects_bad_prior_weight(prior_weight):
+    with pytest.raises(EstimationError, match="prior_weight"):
+        EstimatorConfig(prior_weight=prior_weight).validate()
+
+
+def test_config_accepts_zero_prior_weight():
+    """``prior_weight=0`` is the documented way to switch priors off."""
+    EstimatorConfig(prior_weight=0.0).validate()
+
+
 def test_config_not_shared_between_estimators():
     config = EstimatorConfig(weighted=True)
     heuristic = CorrelationHeuristicEstimator(config)

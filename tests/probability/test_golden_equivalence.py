@@ -3,10 +3,14 @@ monolithic estimators.
 
 The three frozen reference implementations below are verbatim copies of the
 estimators' ``fit()`` bodies as they existed before the staged-pipeline
-refactor (one monolithic method per algorithm, cold cache per fit). Every
-pipeline fit must reproduce their models *and* reports exactly — same
-estimate floats, same identifiability, same path-set selection, same cache
-counters — on both the packed and the dense observation backends; and a fit
+refactor (one monolithic method per algorithm, cold cache per fit). They
+solve through the frozen dense-row equation system of
+``tests/linalg/dense_oracle.py``, so every comparison here also checks the
+production entry-run solve against the dense one. Every pipeline fit must
+reproduce their models *and* reports exactly — same estimate floats, same
+identifiability, same path-set selection, same cache counters — on both
+the packed backend and the frozen dense observation store of
+``tests/model/dense_backend.py``, and on the sparse topology too; and a fit
 through a shared :class:`~repro.probability.pipeline.SharedFitWorkspace`
 must equal the cold-cache fit bit for bit.
 """
@@ -18,7 +22,6 @@ import pytest
 
 from repro.exceptions import EstimationError
 from repro.linalg.nullspace import DEFAULT_TOL, null_space, null_space_update
-from repro.linalg.system import EquationSystem
 from repro.model.status import ObservationMatrix
 from repro.probability.base import (
     EstimatorConfig,
@@ -41,6 +44,8 @@ from repro.simulation.experiment import run_experiment
 from repro.simulation.probing import PathProber
 from repro.simulation.scenarios import ScenarioConfig, ScenarioKind, build_scenario
 from repro.util.subsets import bounded_subsets
+from tests.linalg.dense_oracle import DenseEquationSystem
+from tests.model.dense_backend import dense_observations
 
 
 # ----------------------------------------------------------------------
@@ -91,7 +96,7 @@ def legacy_independence_fit(config, network, observations, weighted=False):
         if config.weighted
         else np.ones(len(freqs))
     )
-    system = EquationSystem(len(active))
+    system = DenseEquationSystem(len(active))
     system.add_batch(rows, np.log(freqs), weights)
     used = [frozenset(ps) for ps, keep in zip(path_sets, usable) if keep]
     solution = system.solve(upper_bound=0.0)
@@ -165,7 +170,7 @@ def legacy_heuristic_fit(config, network, observations):
     if rows.shape[0] == 0:
         raise EstimationError("Correlation-heuristic: no usable path-set equations")
     used = [s for s, keep in zip(candidates, usable) if keep]
-    system = EquationSystem(len(index))
+    system = DenseEquationSystem(len(index))
     system.add_batch(rows, np.log(frequencies[frequent][usable]))
     solution = system.solve(upper_bound=0.0)
     good = np.exp(np.minimum(solution.values, 0.0))
@@ -369,7 +374,7 @@ class LegacyCorrelationComplete:
             if self.config.weighted
             else np.ones(len(all_sets))
         )
-        system = EquationSystem(len(index))
+        system = DenseEquationSystem(len(index))
         system.add_batch(rows, np.log(freqs), weights)
         self._add_prior_equations(system, index)
         solution = system.solve(upper_bound=0.0)
@@ -437,7 +442,7 @@ def experiment(small_brite):
 def observations(request, experiment):
     if request.param == "packed":
         return experiment.observations
-    return ObservationMatrix(experiment.observations.matrix, backend="dense")
+    return dense_observations(experiment.observations.matrix)
 
 
 CASES = [
@@ -502,6 +507,23 @@ def test_shared_workspace_fit_matches_legacy(
     assert report.path_sets == golden.path_sets
     # The warm cache answered some queries the cold fit had to compute.
     assert report.frequency_cache_misses <= golden.frequency_cache_misses
+
+
+@pytest.mark.parametrize(
+    "factory,legacy", [case[1:] for case in CASES], ids=[c[0] for c in CASES]
+)
+def test_sparse_topology_fit_matches_legacy(factory, legacy, small_sparse):
+    scenario = build_scenario(
+        small_sparse, ScenarioConfig(kind=ScenarioKind.RANDOM), 11
+    )
+    observations = run_experiment(
+        scenario, 400, prober=PathProber(num_packets=40), random_state=12
+    ).observations
+    config = EstimatorConfig(seed=3)
+    expected = legacy(config, small_sparse, observations)
+    actual = factory(config).fit(small_sparse, observations)
+    assert_models_identical(actual, expected)
+    assert_reports_identical(actual.report, expected.report)
 
 
 def test_empty_active_short_circuit_matches_legacy(small_brite):

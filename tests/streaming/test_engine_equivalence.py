@@ -22,6 +22,7 @@ from repro.simulation.congestion import CongestionModel, Driver, NonStationaryMo
 from repro.simulation.probing import oracle_path_status
 from repro.streaming import StreamingEstimator
 from repro.topology.builders import fig1_topology
+from tests.model.dense_backend import dense_observations
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +90,11 @@ def _assert_timelines_match(network, offline, streaming, tol=1e-9):
 @pytest.mark.parametrize("backend", ["packed", "dense"])
 @pytest.mark.parametrize("window,stride", [(200, 200), (200, 100), (150, 70)])
 def test_streaming_matches_offline(network, horizon, backend, window, stride):
-    observations = ObservationMatrix(horizon, backend=backend)
+    observations = (
+        ObservationMatrix(horizon)
+        if backend == "packed"
+        else dense_observations(horizon)
+    )
     offline = WindowedEstimator(_estimator(), window=window, stride=stride).fit(
         network, observations
     )

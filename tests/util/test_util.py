@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.util.rng import as_generator, derive_rng, spawn_seeds
 from repro.util.subsets import bounded_subsets, nonempty_subsets, powerset
-from repro.util.timer import Timer
+from repro.obs.timer import Timer
 
 
 def test_as_generator_from_seed():
