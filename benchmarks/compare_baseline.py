@@ -70,38 +70,15 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def active_kernel_name() -> str:
-    """The frequency kernel the benchmarked run dispatched to.
-
-    Resolved through the kernel registry when the package imports (so
-    ``auto`` maps to the kernel that actually served the queries), with
-    the raw ``$REPRO_KERNEL`` request as the fallback on a bare
-    interpreter.
-    """
-    try:
-        from repro.model.kernels import active_kernel
-
-        return active_kernel().name
-    except Exception:
-        requested = os.environ.get("REPRO_KERNEL", "auto")
-        return "numpy" if requested in ("", "auto") else requested
-
-
 def load_current(path: Path) -> dict:
-    """Map fullname -> mean seconds from a pytest-benchmark JSON file.
-
-    Each row carries the active frequency kernel, so numba-kernel runs
-    are never gated against a numpy-kernel baseline (and vice versa).
-    """
+    """Map fullname -> mean seconds from a pytest-benchmark JSON file."""
     raw = json.loads(path.read_text())
-    kernel = active_kernel_name()
     current = {}
     for bench in raw["benchmarks"]:
         entry = {
             "mean_s": bench["stats"]["mean"],
             "min_s": bench["stats"]["min"],
             "group": bench.get("group"),
-            "kernel": kernel,
         }
         peak_rss_mb = bench.get("extra_info", {}).get("peak_rss_mb")
         if peak_rss_mb is not None:
@@ -146,7 +123,6 @@ def update_baseline(current: dict, raw_path: Path, spans: dict = None) -> None:
                     ("mean_s", round(stats["mean_s"], 4)),
                     ("min_s", round(stats["min_s"], 4)),
                     ("group", stats["group"]),
-                    ("kernel", stats.get("kernel", "numpy")),
                     ("peak_rss_mb", stats.get("peak_rss_mb")),
                 )
                 if value is not None
@@ -172,11 +148,7 @@ def compare(baseline: dict, current: dict, threshold: float, cores: int = None) 
 
     ``base_s``/``cur_s``/``ratio`` are ``None`` where a side is missing;
     ``note`` is one of ``""``, ``"baseline-only"``, ``"new"``, ``"cached"``,
-    ``"skipped: <N cores"``, ``"kernel: <base> vs <cur>"`` or
-    ``"REGRESSION"``. A benchmark recorded under a different frequency
-    kernel than the baseline's is reported but not gated — the delta
-    measures the kernel swap, not a regression (baselines from before the
-    kernel field are treated as numpy).
+    ``"skipped: <N cores"`` or ``"REGRESSION"``.
 
     Parallel-runner benchmarks (name containing ``workers``) are excluded
     from the regression gate when the host has fewer than
@@ -191,21 +163,9 @@ def compare(baseline: dict, current: dict, threshold: float, cores: int = None) 
     for name in sorted(set(baseline) | set(current)):
         base_mean = baseline.get(name, {}).get("mean_s")
         cur_mean = current.get(name, {}).get("mean_s")
-        base_kernel = baseline.get(name, {}).get("kernel", "numpy")
-        cur_kernel = current.get(name, {}).get("kernel", "numpy")
         if base_mean is None or cur_mean is None:
             note = "baseline-only" if cur_mean is None else "new"
             rows.append((name, base_mean, cur_mean, None, note))
-        elif base_kernel != cur_kernel:
-            rows.append(
-                (
-                    name,
-                    base_mean,
-                    cur_mean,
-                    None,
-                    f"kernel: {base_kernel} vs {cur_kernel}",
-                )
-            )
         elif PARALLEL_MARKER in name and cores < PARALLEL_MIN_CORES:
             rows.append(
                 (
@@ -271,7 +231,7 @@ def collect_skips(rows: list, strict_armed: bool = None) -> list:
     """Everything the regression gate did NOT check, as (subject, reason).
 
     Covers per-benchmark exclusions (cache hits, core-starved parallel
-    runs, kernel mismatches, one-sided rows) and the opt-in strict gates
+    runs, one-sided rows) and the opt-in strict gates
     (speedup / throughput / strict-win assertions inside the benchmarks
     themselves), which silently downgrade to warnings unless
     ``REPRO_BENCH_STRICT`` is set. Surfacing these is the difference

@@ -27,7 +27,6 @@ Usage::
     repro-tomography scenarios list|info NAME
     repro-tomography estimators list|info NAME
     repro-tomography policies list|info NAME
-    repro-tomography kernels list [--bench] | info NAME
     repro-tomography obs summary [--snapshot FILE]
     repro-tomography obs export [--format prom|json] [--snapshot FILE]
     repro-tomography obs spans TRACE.jsonl [--tree] [--validate]
@@ -37,7 +36,7 @@ Usage::
                              [--sample-interval S]
     repro-tomography monitor [--scale SCALE] [--seed N] [--oracle]
                              [--dataset NAME] [--scenario NAME]
-                             [--estimator NAME] [--kernel K]
+                             [--estimator NAME]
                              [--intervals T] [--window W] [--stride S]
                              [--chunk C] [--checkpoint PATH]
     repro-tomography --version
@@ -45,21 +44,19 @@ Usage::
 ``SCALE`` is one of the registered presets (``tiny``/``small``/``paper``).
 ``--workers`` shards a sweep (0 = all local CPUs) with results
 bit-identical to the serial run; ``--executor`` picks how shards run
-(``process``, zero-copy ``thread``, or ``auto`` — thread exactly when the
-active frequency kernel is GIL-free). ``campaign`` runs a named sweep
-(or a JSON sweep spec) with per-shard progress and optional JSON results
-on disk — the ``realworld`` campaign sweeps every registered dataset,
-scenario, and estimator, restrictable with
+(``process`` by default, or zero-copy ``thread``; both give the same
+bits). ``campaign`` runs a named sweep (or a JSON sweep spec) with
+per-shard progress and optional JSON results on disk — the
+``realworld`` campaign sweeps every registered dataset, scenario, and
+estimator, restrictable with
 ``--dataset``/``--scenario``/``--estimator`` (comma-separated names from
 ``datasets list`` / ``scenarios list`` / ``estimators list``); the
 ``mitigation`` campaign additionally accepts ``--policy`` (names from
 ``policies list``). ``mitigate`` runs one closed mitigation loop —
 estimate, act on the fitted model, re-simulate, re-estimate — and can
-persist the plan and scorecard as JSON.
-``kernels`` inspects the frequency-kernel registry (numpy / optional
-compiled numba) and the active selection (``REPRO_KERNEL``). ``obs``
-inspects the telemetry layer (``REPRO_OBS=off|metrics|trace``): a human
-metrics summary, Prometheus/JSON export, span-trace rendering or
+persist the plan and scorecard as JSON. ``obs`` inspects the telemetry
+layer (``REPRO_OBS=off|metrics|trace``): a human metrics summary,
+Prometheus/JSON export, span-trace rendering or
 validation, trace analytics (``critical-path`` decomposes each root
 span and reports shard utilization; ``diff`` aligns two traces by span
 name and names the top self-time regressions), and a live HTTP
@@ -114,8 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     workers_help = "worker shards for the sweep (0 = all local CPUs)"
     executor_help = (
-        "shard executor: process pool, zero-copy threads, or auto "
-        "(thread when the active kernel is GIL-free)"
+        "shard executor: process pool (default) or zero-copy threads; "
+        "results are identical"
     )
     obs_help = (
         "telemetry mode for this run (overrides the REPRO_OBS env var)"
@@ -140,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument("--workers", type=int, default=1, help=workers_help)
         sub.add_argument(
-            "--executor", choices=EXECUTORS, default="auto", help=executor_help
+            "--executor", choices=EXECUTORS, default="process", help=executor_help
         )
     sub = subparsers.add_parser("table2", help="print the assumption matrix")
     sub = subparsers.add_parser("scaling", help="Algorithm 1 scaling sweep")
@@ -148,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, default=3)
     sub.add_argument("--workers", type=int, default=1, help=workers_help)
     sub.add_argument(
-        "--executor", choices=EXECUTORS, default="auto", help=executor_help
+        "--executor", choices=EXECUTORS, default="process", help=executor_help
     )
     sub = subparsers.add_parser(
         "ablation", help="ablate the Correlation-complete solve refinements"
@@ -157,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, default=5)
     sub.add_argument("--workers", type=int, default=1, help=workers_help)
     sub.add_argument(
-        "--executor", choices=EXECUTORS, default="auto", help=executor_help
+        "--executor", choices=EXECUTORS, default="process", help=executor_help
     )
     sub = subparsers.add_parser(
         "campaign",
@@ -331,21 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "name", nargs="?", default=None, help="estimator name or alias (info)"
     )
     sub = subparsers.add_parser(
-        "kernels",
-        help="inspect the frequency-kernel registry and active selection",
-    )
-    sub.add_argument(
-        "action",
-        choices=("list", "info"),
-        help="list the registry or describe one kernel",
-    )
-    sub.add_argument("name", nargs="?", default=None, help="kernel name (info)")
-    sub.add_argument(
-        "--bench",
-        action="store_true",
-        help="micro-benchmark each available kernel (list only)",
-    )
-    sub = subparsers.add_parser(
         "obs",
         help="inspect telemetry: metrics summary/export, span traces, "
         "trace analytics, and live HTTP serving",
@@ -449,13 +431,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=str,
         default=None,
         help="registered estimator to refit with (default: Correlation-complete)",
-    )
-    sub.add_argument(
-        "--kernel",
-        type=str,
-        default=None,
-        help="pin the frequency kernel used by refits "
-        "(see 'kernels list'; default: the active selection)",
     )
     sub.add_argument(
         "--intervals",
@@ -827,63 +802,6 @@ def _print_estimators(args: argparse.Namespace) -> None:
     print(f"  pipeline stages: {' -> '.join(estimator.stage_names())}")
 
 
-def _print_kernels(args: argparse.Namespace) -> None:
-    from repro.model import kernels
-    from repro.model.kernels import numba_kernel
-
-    active = kernels.active_kernel()
-    if args.action == "list":
-        headers = ["Kernel", "Available", "GIL-free", "Active", "Description"]
-        if args.bench:
-            headers.insert(4, "Bench (ms)")
-        rows = []
-        for name in kernels.kernel_names():
-            kernel = kernels.get_kernel(name)
-            available = kernel.is_available()
-            cells = [
-                name,
-                "yes" if available else f"no ({kernel.unavailable_reason()})",
-                "yes" if kernel.releases_gil else "no",
-                "*" if kernel is active else "",
-                kernel.description,
-            ]
-            if args.bench:
-                cells.insert(
-                    4,
-                    f"{kernels.microbenchmark(kernel) * 1e3:.3f}"
-                    if available
-                    else "-",
-                )
-            rows.append(cells)
-        print("Frequency kernels")
-        print(format_table(headers, rows))
-        print(f"requested: {kernels.requested_kernel()} (env {kernels.KERNEL_ENV})")
-        print(
-            "numba: "
-            + (
-                f"version {numba_kernel.NUMBA_VERSION}"
-                if numba_kernel.NUMBA_VERSION
-                else "not installed"
-            )
-        )
-        return
-    if not args.name:
-        raise SystemExit("kernels info: provide a kernel name")
-    try:
-        kernel = kernels.get_kernel(args.name)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-    print(f"{kernel.name}: {kernel.description}")
-    print(f"  class: {type(kernel).__module__}.{type(kernel).__qualname__}")
-    print(f"  releases the GIL: {kernel.releases_gil}")
-    print(f"  active: {kernel is active}")
-    if kernel.is_available():
-        print("  available: yes")
-        print(f"  micro-benchmark: {kernels.microbenchmark(kernel) * 1e3:.3f} ms")
-    else:
-        print(f"  available: no ({kernel.unavailable_reason()})")
-
-
 def _load_trace_or_exit(trace: str):
     """Tolerantly load a trace, printing truncation warnings; exits on
     a missing file or interior corruption."""
@@ -1049,17 +967,13 @@ def _run_monitor(args: argparse.Namespace) -> None:
         prober=prober,
         chunk_intervals=args.chunk,
     )
-    try:
-        engine = StreamingEstimator(
-            network,
-            estimator,
-            window=args.window,
-            stride=args.stride,
-            alert_manager=AlertManager(network, AlertPolicy()),
-            kernel=args.kernel,
-        )
-    except ValueError as exc:  # unknown --kernel name
-        raise SystemExit(str(exc)) from None
+    engine = StreamingEstimator(
+        network,
+        estimator,
+        window=args.window,
+        stride=args.stride,
+        alert_manager=AlertManager(network, AlertPolicy()),
+    )
     members = peer_link_members(network)
     print(
         f"monitoring {network.num_paths} paths over {network.num_links} links "
@@ -1291,8 +1205,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         _print_policies(args)
     elif args.command == "mitigate":
         _run_mitigate(args)
-    elif args.command == "kernels":
-        _print_kernels(args)
     elif args.command == "obs":
         return _print_obs(args)
     elif args.command == "monitor":

@@ -148,7 +148,7 @@ def run_ablation(
 
     ``workers`` shards the variant fits with bit-identical results
     (``1`` = serial, ``None`` = all local CPUs) across the requested
-    ``executor`` (``"process"`` / ``"thread"`` / ``"auto"``).
+    ``executor`` (``"process"`` or zero-copy ``"thread"``).
     """
     results = run_trials(
         ablation_trial,

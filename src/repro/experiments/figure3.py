@@ -234,9 +234,8 @@ def run_figure3(
     progress:
         Optional per-shard progress callback.
     executor:
-        Shard executor — ``"process"`` (default), ``"thread"``
-        (zero-copy, needs a GIL-free kernel to overlap), or ``"auto"``
-        (see :func:`repro.runner.pool.run_trials`).
+        Shard executor — ``"process"`` (default) or ``"thread"``
+        (zero-copy; see :func:`repro.runner.pool.run_trials`).
     """
     results = run_trials(
         figure3_trial,

@@ -263,7 +263,7 @@ def run_figure4(
     See :func:`repro.experiments.figure3.run_figure3` for the parameters.
     ``workers`` shards the sweep (``1`` = serial in this process, ``None``
     = all local CPUs) across the requested ``executor``
-    (``"process"`` / ``"thread"`` / ``"auto"`` — see
+    (``"process"`` or zero-copy ``"thread"`` — see
     :func:`repro.runner.pool.run_trials`) with bit-identical results.
     """
     results = run_trials(

@@ -319,9 +319,14 @@ def run_mitigation(
     policies: Optional[Sequence[str]] = None,
     workers: Optional[int] = 1,
     progress: Optional[ProgressFn] = None,
-    executor: Optional[str] = "auto",
+    executor: Optional[str] = "process",
 ) -> MitigationResult:
-    """Run the closed-loop mitigation sweep end to end."""
+    """Run the closed-loop mitigation sweep end to end.
+
+    ``workers`` shards the sweep (``1`` = serial in this process,
+    ``None`` = all local CPUs) across the requested ``executor``
+    (``"process"`` or zero-copy ``"thread"``) with bit-identical results.
+    """
     results = run_trials(
         mitigation_trial,
         mitigation_specs(

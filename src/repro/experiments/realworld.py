@@ -235,7 +235,7 @@ def run_realworld(
 
     ``workers`` shards the sweep (``1`` = serial in this process,
     ``None`` = all local CPUs) across the requested ``executor``
-    (``"process"`` / ``"thread"`` / ``"auto"``) with bit-identical
+    (``"process"`` or zero-copy ``"thread"``) with bit-identical
     results.
     """
     results = run_trials(

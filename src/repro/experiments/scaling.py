@@ -163,7 +163,7 @@ def run_algorithm1_scaling(
     """Sweep Algorithm 1's requested subset size on a Brite instance.
 
     ``workers`` shards the sweep points across the requested ``executor``
-    (``"process"`` / ``"thread"`` / ``"auto"``); the sweep's
+    (``"process"`` or zero-copy ``"thread"``); the sweep's
     equation-system statistics are bit-identical for any value (the
     per-point ``seconds`` column reports each worker's own wall clock).
     """

@@ -16,10 +16,7 @@ the word matrix plus a tail mask, with no re-packing of the horizon.
 
 The packed backend's two hot loops — the batched gather/OR/popcount of
 :meth:`PackedBackend.all_good_counts` and the row popcounts of
-:meth:`PackedBackend.congestion_counts` — dispatch through the pluggable
-kernel layer (:mod:`repro.model.kernels`): the canonical numpy kernel by
-default, an optional compiled GIL-free numba kernel when selected via
-``REPRO_KERNEL`` (bit-identical either way).
+:meth:`PackedBackend.congestion_counts` — live in :mod:`repro.model.kernels`.
 """
 
 from __future__ import annotations
@@ -37,18 +34,17 @@ from repro.obs import counter, histogram, metrics_enabled
 # by how many path sets one invocation carries.
 _KERNEL_CALLS = counter(
     "repro_kernel_calls_total",
-    "Frequency-kernel invocations by kernel and operation.",
-    ["kernel", "op"],
+    "Frequency-kernel invocations by operation.",
+    ["op"],
 )
 _KERNEL_WORDS = counter(
     "repro_kernel_words_total",
-    "uint64 words gathered/scanned by the frequency kernels.",
-    ["kernel", "op"],
+    "uint64 words gathered/scanned by the frequency kernel.",
+    ["op"],
 )
 _KERNEL_BATCH_SETS = histogram(
     "repro_kernel_batch_path_sets",
     "Path sets per batched union-popcount invocation.",
-    ["kernel"],
     buckets=[1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384, 65536],
 )
 
@@ -120,7 +116,7 @@ class PackedBackend:
             raise ValueError("num_intervals exceeds packed capacity")
         self.words = words
         self._num_intervals = int(num_intervals)
-        # Kernel-owned caches tied to this word store (the numpy kernel
+        # Kernel-owned caches tied to this word store (the kernel
         # keeps its dummy-padded copy of `words` here). Lazily filled so
         # backends that never run a batch query — e.g. short-lived window
         # slices — pay nothing.
@@ -183,22 +179,20 @@ class PackedBackend:
 
     def congestion_counts(self) -> np.ndarray:
         """Per-path congested-interval counts, shape (num_paths,)."""
-        kernel = kernels.active_kernel()
         if metrics_enabled():
-            _KERNEL_CALLS.inc(kernel=kernel.name, op="congestion_counts")
-            _KERNEL_WORDS.inc(float(self.words.size), kernel=kernel.name, op="congestion_counts")
-        return kernel.congestion_counts(self.words)
+            _KERNEL_CALLS.inc(op="congestion_counts")
+            _KERNEL_WORDS.inc(float(self.words.size), op="congestion_counts")
+        return kernels.active_kernel().congestion_counts(self.words)
 
     def all_good_counts(self, path_sets: Sequence[Sequence[int]]) -> np.ndarray:
         """Batched Eq. 1 numerator: all-good interval counts per path set.
 
         The kernel of the whole estimation stack: for each path set, OR the
         packed rows of its members and popcount the union. The whole batch
-        runs through the active frequency kernel
-        (:mod:`repro.model.kernels`) — no Python per-set work. The empty
-        set counts every interval (an all-empty batch short-circuits; an
-        empty set inside a wider batch unions nothing and popcounts to
-        zero under either kernel). Returns an int64 array of
+        runs through the frequency kernel (:mod:`repro.model.kernels`) —
+        no Python per-set work. The empty set counts every interval (an
+        all-empty batch short-circuits; an empty set inside a wider batch
+        unions nothing and popcounts to zero). Returns an int64 array of
         len(path_sets).
         """
         num_sets = len(path_sets)
@@ -211,26 +205,23 @@ class PackedBackend:
             return np.full(num_sets, total, dtype=np.int64)
         # Ragged sets become a rectangular index matrix padded with the
         # dummy row index ``num_paths`` (an implicit all-good row, a no-op
-        # under OR) plus the true lengths; each kernel consumes whichever
-        # of the two paddings suits its loop structure.
+        # under OR) plus the true lengths.
         dummy = self.num_paths
         indices = np.full((num_sets, widest), dummy, dtype=np.intp)
         lengths = np.empty(num_sets, dtype=np.int64)
         for i, m in enumerate(members):
             indices[i, : len(m)] = m
             lengths[i] = len(m)
-        kernel = kernels.active_kernel()
         if metrics_enabled():
-            _KERNEL_CALLS.inc(kernel=kernel.name, op="union_popcounts")
+            _KERNEL_CALLS.inc(op="union_popcounts")
             # Words gathered: every member row contributes its word columns
             # to the union.
             _KERNEL_WORDS.inc(
                 float(int(lengths.sum()) * self.words.shape[1]),
-                kernel=kernel.name,
                 op="union_popcounts",
             )
-            _KERNEL_BATCH_SETS.observe(float(num_sets), kernel=kernel.name)
-        counts = kernel.union_popcounts(
+            _KERNEL_BATCH_SETS.observe(float(num_sets))
+        counts = kernels.active_kernel().union_popcounts(
             self.words, indices, lengths, self._kernel_scratch
         )
         return total - counts

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import weakref
 from abc import ABC, abstractmethod
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import (
     Dict,
@@ -314,19 +315,24 @@ class ProbabilityEstimator(ABC):
         ``workspace`` checks the fit into a trial's
         :class:`~repro.probability.pipeline.SharedFitWorkspace`: the fit
         reads the workspace's warm frequency cache and equation arena
-        instead of cold-starting both. Injection is fixed at context
-        creation — the estimator itself stays stateless between fits.
+        instead of cold-starting both (a concurrent fit that finds the
+        arena leased assembles in a private one). Injection is fixed at
+        context creation — the estimator itself stays stateless between
+        fits.
         """
-        context = FitContext(
-            network=network,
-            observations=observations,
-            config=self.config,
-            frequency=(
-                workspace.checkout(observations) if workspace is not None else None
-            ),
-            system_workspace=workspace.system if workspace is not None else None,
-        )
-        return self.pipeline().run(context)
+        frequency, lease = None, nullcontext()
+        if workspace is not None:
+            frequency = workspace.checkout(observations)
+            lease = workspace.lease_system()
+        with lease as system_workspace:
+            context = FitContext(
+                network=network,
+                observations=observations,
+                config=self.config,
+                frequency=frequency,
+                system_workspace=system_workspace,
+            )
+            return self.pipeline().run(context)
 
     def pipeline(self) -> EstimationPipeline:
         """This estimator's staged fit path."""

@@ -27,6 +27,8 @@ agnostic.
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -34,6 +36,7 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -44,7 +47,6 @@ import numpy as np
 
 from repro.exceptions import EstimationError
 from repro.linalg.system import EquationSystem, SystemWorkspace
-from repro.model.kernels import active_kernel
 from repro.model.status import ObservationMatrix
 from repro.obs import (
     LocalCounters,
@@ -132,9 +134,9 @@ class FitReport:
         Wall time per executed pipeline stage, keyed by stage name in
         execution order (see :data:`STAGE_ORDER`).
     kernel:
-        Name of the frequency kernel (:mod:`repro.model.kernels`) active
-        when the pipeline finished this fit — diagnostic only; kernels are
-        bit-identical, so it never explains a numeric difference.
+        Always ``"numpy"``: there is one frequency kernel
+        (:mod:`repro.model.kernels`). The field exists only because
+        ``perfbench/workloads.py`` still reads it.
     """
 
     num_unknowns: int = 0
@@ -147,7 +149,7 @@ class FitReport:
     frequency_cache_misses: int = 0
     equation_storage_bytes: int = 0
     stage_seconds: Dict[str, float] = field(default_factory=dict)
-    kernel: str = ""
+    kernel: str = "numpy"
 
     @property
     def total_seconds(self) -> float:
@@ -303,6 +305,11 @@ class SharedFitWorkspace:
     — shared-workspace fits are bit-identical to cold-cache fits, only
     cheaper.
 
+    Fits sharing a workspace may run concurrently (thread shards). The
+    equation arena holds one live system at a time, so
+    :meth:`lease_system` hands it to one fit and gives any fit that finds
+    it taken a fresh arena instead.
+
     Parameters
     ----------
     observations:
@@ -325,6 +332,25 @@ class SharedFitWorkspace:
         self.observations = observations
         self.frequency = FrequencyCache(observations, max_entries)
         self.system = system if system is not None else SystemWorkspace()
+        self._system_lock = threading.Lock()
+
+    @contextmanager
+    def lease_system(self) -> Iterator[SystemWorkspace]:
+        """The shared equation arena for one fit, or a fresh one if taken.
+
+        Beginning a system recycles the arena under any system still
+        growing in it, so a fit holds the arena for its whole duration.
+        The lock is never waited on: a concurrent fit assembles in a
+        private :class:`~repro.linalg.system.SystemWorkspace`, which
+        stores the same rows and so fits the same bits.
+        """
+        if not self._system_lock.acquire(blocking=False):
+            yield SystemWorkspace()
+            return
+        try:
+            yield self.system
+        finally:
+            self._system_lock.release()
 
     def checkout(self, observations: ObservationMatrix) -> FrequencyCache:
         """The shared cache, after verifying the observation set matches."""
@@ -446,6 +472,5 @@ class EstimationPipeline:
             )
         _FITS_TOTAL.inc(estimator=self._name)
         context.report.stage_seconds = dict(context.stage_seconds)
-        context.report.kernel = active_kernel().name
         context.model.report = context.report  # type: ignore[attr-defined]
         return context.model

@@ -3,7 +3,7 @@
 The paper's sweeps are embarrassingly parallel over
 (topology, scenario, estimator, seed); this package decomposes them into
 independent :class:`TrialSpec` cells, shards the cells across a process
-or thread pool (``executor="process"|"thread"|"auto"``), and merges
+or thread pool (``executor="process"|"thread"``), and merges
 worker results in canonical order so parallel runs are bit-identical to
 serial ones. See :mod:`repro.runner.pool` for the execution model and
 :mod:`repro.runner.campaign` for named campaigns, JSON sweep specs, and

@@ -376,9 +376,8 @@ class CampaignSpec:
     ``replicates > 1`` reruns the sweep at that many seeds spawned
     deterministically from ``seed``; all replicates' trials are sharded
     through a single pool. ``executor`` picks how shards run
-    (``"auto"`` — the default — threads when the active frequency kernel
-    is GIL-free, else processes; or an explicit ``"thread"`` /
-    ``"process"``). ``dataset`` / ``scenario`` / ``estimator``
+    (``"process"`` — the default — or zero-copy ``"thread"`` shards;
+    both give the same bits). ``dataset`` / ``scenario`` / ``estimator``
     restrict a filter-accepting campaign (``realworld``, ``mitigation``)
     to comma-separated registered names (estimator aliases are accepted —
     see :mod:`repro.probability.registry`); ``policy`` restricts a
@@ -400,7 +399,7 @@ class CampaignSpec:
     scenario: Optional[str] = None
     estimator: Optional[str] = None
     policy: Optional[str] = None
-    executor: Optional[str] = "auto"
+    executor: Optional[str] = "process"
     serve_port: Optional[int] = None
 
     def __post_init__(self) -> None:

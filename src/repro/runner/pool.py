@@ -7,18 +7,13 @@ single-shard case of the same code) or sharded across a
 ``concurrent.futures`` pool. Two shard executors share one partition,
 merge, and fault model:
 
-* ``executor="process"`` — a ``ProcessPoolExecutor``: true parallelism
-  whatever kernel is active, at the cost of pickling specs (with their
-  embedded experiments/packed words) into workers and pool start-up.
+* ``executor="process"`` (the default) — a ``ProcessPoolExecutor``:
+  true parallelism, at the cost of pickling specs (with their embedded
+  experiments/packed words) into workers and pool start-up.
 * ``executor="thread"`` — a ``ThreadPoolExecutor``: shards run in the
   parent interpreter and share its packed observation words and
   group-level fit workspaces **zero-copy** (nothing is pickled, no
-  processes fork). Real speedup requires the hot kernel loops to release
-  the GIL — i.e. the compiled numba kernel
-  (:mod:`repro.model.kernels`); under the pure-numpy kernel thread
-  shards mostly serialise on the GIL.
-* ``executor="auto"`` — thread when the active kernel releases the GIL,
-  process otherwise.
+  processes fork). Results are bit-identical to the process executor.
 
 Three properties the experiment drivers rely on:
 
@@ -127,23 +122,18 @@ class ShardReport:
 
 
 #: Recognised shard-executor modes.
-EXECUTORS = ("auto", "thread", "process")
+EXECUTORS = ("thread", "process")
 
 
 def resolve_executor(executor: Optional[str]) -> str:
-    """Normalise an ``executor`` request to ``"thread"`` or ``"process"``.
+    """Normalise an ``executor`` request (``None`` means ``"process"``).
 
-    ``"auto"`` (or ``None``) picks threads exactly when the active
-    frequency kernel runs its hot loops without the GIL (the compiled
-    numba kernel), because only then do thread shards actually overlap;
-    otherwise it picks processes. Either resolution is bit-identical —
-    the choice is purely a wall-clock/memory trade.
+    Either executor is bit-identical; the choice trades pickling and
+    start-up against sharing one interpreter.
     """
-    if executor is None or executor == "auto":
-        from repro.model.kernels import active_kernel
-
-        return "thread" if active_kernel().releases_gil else "process"
-    if executor not in ("thread", "process"):
+    if executor is None:
+        return "process"
+    if executor not in EXECUTORS:
         raise ValueError(
             f"unknown executor {executor!r}; expected one of {list(EXECUTORS)}"
         )
@@ -343,9 +333,7 @@ def run_trials(
     executor:
         ``"process"`` (default) shards across a process pool,
         ``"thread"`` across threads in this interpreter — zero-copy: no
-        spec/observation pickling, no fork start-up — and ``"auto"``
-        picks threads exactly when the active frequency kernel releases
-        the GIL (see :func:`resolve_executor`).
+        spec/observation pickling, no fork start-up.
 
     Returns
     -------

@@ -108,7 +108,6 @@ def checkpoint_state(engine: StreamingEstimator) -> dict:
         "workload_limit": engine.workload_limit,
         "max_windows": engine.max_windows,
         "max_alerts": engine.max_alerts,
-        "kernel": engine.kernel,
         "num_paths": engine.buffer.num_paths,
         "num_links": engine.network.num_links,
         "estimator": engine.estimator.name,
@@ -204,6 +203,8 @@ def restore_engine(
         int(ring_state["end_interval"]),
         int(state["retention"]),
     )
+    # Keys restore does not read are ignored, including the "kernel" pin
+    # older documents carry: there is one frequency kernel.
     max_windows = state.get("max_windows")
     max_alerts = state.get("max_alerts")
     engine = StreamingEstimator(
@@ -217,7 +218,6 @@ def restore_engine(
         max_windows=None if max_windows is None else int(max_windows),
         max_alerts=None if max_alerts is None else int(max_alerts),
         ring=ring,
-        kernel=state.get("kernel"),
     )
     if engine.estimator.name != state.get("estimator"):
         raise EstimationError(

@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.exceptions import EstimationError
 from repro.linalg.system import SystemWorkspace
-from repro.model.kernels import get_kernel, use_kernel
 from repro.model.packed import WORD_BITS
 from repro.obs import counter, gauge, histogram, metrics_enabled, span
 from repro.probability.base import ProbabilityEstimator
@@ -108,11 +107,6 @@ class StreamingEstimator:
         allocating a fresh one — the checkpoint-restore path hands the
         restored ring in directly so the store is allocated once. Its
         path width and retention must match.
-    kernel:
-        Pin every refit's frequency kernel to this registered name
-        (see :mod:`repro.model.kernels`); ``None`` follows the process's
-        active selection. Pinning is scoped to the refit — the engine
-        never mutates the global selection outside :meth:`_fit_window`.
     """
 
     def __init__(
@@ -127,13 +121,9 @@ class StreamingEstimator:
         max_windows: Optional[int] = None,
         max_alerts: Optional[int] = None,
         ring: Optional[PackedRingBuffer] = None,
-        kernel: Optional[str] = None,
     ) -> None:
         if window < 2:
             raise EstimationError("window must cover at least 2 intervals")
-        if kernel is not None:
-            get_kernel(kernel)  # fail fast on unknown names
-        self.kernel = kernel
         self.network = network
         self.estimator = resolve_estimator(estimator)
         self.window = window
@@ -321,28 +311,24 @@ class StreamingEstimator:
             observations, system=self._system_workspace
         )
         cache = workspace.frequency
-        with use_kernel(self.kernel):
-            if self._workload:
-                # One batched kernel call evaluates the previous window's
-                # whole frequency workload against the new window. The
-                # subsequent fit then runs almost entirely on cache hits —
-                # the incremental refit never re-derives its query set from
-                # scratch, and never touches intervals outside
-                # [start, stop).
-                cache.prefetch(self._workload)
-            cache.reset_touched()
-            try:
-                model = self.estimator.fit(
-                    self.network, observations, workspace=workspace
-                )
-            except EstimationError:
-                # Skipped window: keep the last good window's workload —
-                # one degenerate window must not cold-start the refits
-                # after it.
-                return None
-            finally:
-                self.cache_hits += cache.hits
-                self.cache_misses += cache.misses
+        if self._workload:
+            # One batched kernel call evaluates the previous window's
+            # whole frequency workload against the new window. The
+            # subsequent fit then runs almost entirely on cache hits —
+            # the incremental refit never re-derives its query set from
+            # scratch, and never touches intervals outside [start, stop).
+            cache.prefetch(self._workload)
+        cache.reset_touched()
+        try:
+            model = self.estimator.fit(self.network, observations, workspace=workspace)
+        except EstimationError:
+            # Skipped window: keep the last good window's workload —
+            # one degenerate window must not cold-start the refits
+            # after it.
+            return None
+        finally:
+            self.cache_hits += cache.hits
+            self.cache_misses += cache.misses
         # Carry forward only the queries this (successful) fit actually
         # made — path sets the estimator stopped needing fall out of the
         # workload instead of being prefetched forever.

@@ -366,44 +366,6 @@ def test_campaign_invalid_overrides_rejected():
         main(["campaign", "scaling", "--workers", "-1"])
 
 
-def test_kernels_list(capsys):
-    assert main(["kernels", "list"]) == 0
-    out = capsys.readouterr().out
-    assert "Frequency kernels" in out
-    assert "numpy" in out
-    assert "numba" in out
-    assert "requested:" in out
-    assert "REPRO_KERNEL" in out
-    # Exactly one kernel is marked active.
-    assert sum("*" in line for line in out.splitlines()) == 1
-
-
-def test_kernels_list_bench(capsys):
-    assert main(["kernels", "list", "--bench"]) == 0
-    out = capsys.readouterr().out
-    assert "Bench (ms)" in out
-
-
-def test_kernels_info(capsys):
-    assert main(["kernels", "info", "numpy"]) == 0
-    out = capsys.readouterr().out
-    assert "numpy:" in out
-    assert "releases the GIL: False" in out
-    assert "available: yes" in out
-    assert "micro-benchmark" in out
-    assert main(["kernels", "info", "numba"]) == 0
-    out = capsys.readouterr().out
-    assert "numba:" in out
-    assert "releases the GIL: True" in out
-
-
-def test_kernels_info_unknown_name():
-    with pytest.raises(SystemExit, match="unknown kernel"):
-        main(["kernels", "info", "simd"])
-    with pytest.raises(SystemExit, match="provide a kernel name"):
-        main(["kernels", "info"])
-
-
 def test_figure_executor_flag(capsys):
     assert (
         main(
@@ -440,30 +402,6 @@ def test_campaign_executor_flag(capsys):
     )
     out = capsys.readouterr().out
     assert "Algorithm 1 scaling" in out
-
-
-def test_monitor_kernel_flag(capsys):
-    assert (
-        main(
-            [
-                "monitor",
-                "--scale",
-                "tiny",
-                "--dataset",
-                "abilene",
-                "--scenario",
-                "diurnal",
-                "--intervals",
-                "48",
-                "--window",
-                "32",
-                "--kernel",
-                "numpy",
-            ]
-        )
-        == 0
-    )
-    assert "refits" in capsys.readouterr().out
 
 
 def test_policies_list(capsys):
@@ -568,20 +506,3 @@ def test_campaign_bad_output_fails_fast(tmp_path):
     # The output dir is validated before the sweep starts, not after.
     with pytest.raises(SystemExit, match="not a directory"):
         main(["campaign", "scaling", "--output", str(clobber)])
-
-
-def test_monitor_unknown_kernel_errors():
-    with pytest.raises(SystemExit, match="unknown kernel"):
-        main(
-            [
-                "monitor",
-                "--scale",
-                "tiny",
-                "--dataset",
-                "abilene",
-                "--scenario",
-                "diurnal",
-                "--kernel",
-                "simd",
-            ]
-        )

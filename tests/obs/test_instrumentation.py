@@ -7,9 +7,10 @@ The load-bearing contracts:
   registries that merge deterministically;
 * span parent links survive the process boundary, so a campaign's
   trace renders as one tree;
-* ``FitReport`` frequency-cache counters are per-fit even when
-  concurrent fits share one ``SharedFitWorkspace`` under the thread
-  executor (context-local scopes, not global snapshot deltas);
+* concurrent fits sharing one ``SharedFitWorkspace`` both complete with
+  the sequential fit's bits, and their ``FitReport`` frequency-cache
+  counters are per-fit (context-local scopes, not global snapshot
+  deltas);
 * ``FitReport.stage_seconds`` and the trace's stage spans are the same
   measurement (reconcile within 1ms).
 """
@@ -19,9 +20,11 @@ from __future__ import annotations
 import os
 import threading
 
+import numpy as np
 import pytest
 
 from repro import obs
+from repro.linalg.system import SystemWorkspace
 from repro.probability.base import EstimatorConfig
 from repro.probability.correlation_complete import CorrelationCompleteEstimator
 from repro.probability.pipeline import SharedFitWorkspace
@@ -174,9 +177,10 @@ def test_fit_metrics_agree_with_fit_report(small_brite, experiment):
 
 
 def test_fit_report_counters_survive_concurrent_shared_cache(
-    small_brite, experiment
+    small_brite, experiment, monkeypatch
 ):
-    """Satellite fix: thread-concurrent fits must not cross-count traffic."""
+    """Concurrent fits on one workspace both finish and count their own
+    traffic, even when both are inside the equation arena at once."""
     workspace = SharedFitWorkspace(experiment.observations)
     config = EstimatorConfig(seed=3)
     CorrelationCompleteEstimator(config).fit(
@@ -188,13 +192,29 @@ def test_fit_report_counters_survive_concurrent_shared_cache(
     expected_hits = warm.report.frequency_cache_hits
     assert warm.report.frequency_cache_misses == 0
 
-    reports = {}
+    # Hold each fit right after it begins its equation system until the
+    # other has begun too: a shared arena would be recycled under the
+    # first fit on every run, not just on an unlucky interleaving.
+    barrier = threading.Barrier(2, timeout=30)
+    begin = SystemWorkspace.begin
+
+    def begin_together(self):
+        generation = begin(self)
+        barrier.wait()
+        return generation
+
+    monkeypatch.setattr(SystemWorkspace, "begin", begin_together)
+    models = {}
+    errors = []
 
     def fit_one(tag):
-        model = CorrelationCompleteEstimator(config).fit(
-            small_brite, experiment.observations, workspace=workspace
-        )
-        reports[tag] = model.report
+        try:
+            models[tag] = CorrelationCompleteEstimator(config).fit(
+                small_brite, experiment.observations, workspace=workspace
+            )
+        except BaseException as exc:
+            errors.append(exc)
+            barrier.abort()
 
     threads = [
         threading.Thread(target=fit_one, args=(tag,)) for tag in ("a", "b")
@@ -203,12 +223,18 @@ def test_fit_report_counters_survive_concurrent_shared_cache(
         thread.start()
     for thread in threads:
         thread.join()
+    if errors:
+        raise errors[0]
+    assert sorted(models) == ["a", "b"]
     # Each concurrent fit sees exactly its own (fully warm) traffic; the
     # old global-snapshot deltas would attribute both fits' lookups to
     # whichever report closed last.
-    for report in reports.values():
-        assert report.frequency_cache_misses == 0
-        assert report.frequency_cache_hits == expected_hits
+    for model in models.values():
+        assert model.report.frequency_cache_misses == 0
+        assert model.report.frequency_cache_hits == expected_hits
+        np.testing.assert_array_equal(
+            model.link_marginals(), warm.link_marginals()
+        )
 
 
 def test_stage_seconds_reconcile_with_trace(small_brite, experiment, tmp_path):

@@ -130,11 +130,12 @@ def test_write_outcome(scaling_outcome, tmp_path):
 
 
 def test_spec_executor_validation():
-    assert CampaignSpec(campaign="scaling").executor == "auto"
-    for mode in ("auto", "thread", "process"):
+    assert CampaignSpec(campaign="scaling").executor == "process"
+    for mode in ("thread", "process"):
         assert CampaignSpec(campaign="scaling", executor=mode).executor == mode
-    with pytest.raises(ValueError, match="unknown executor"):
-        CampaignSpec(campaign="scaling", executor="greenlet")
+    for mode in ("auto", "greenlet"):
+        with pytest.raises(ValueError, match="unknown executor"):
+            CampaignSpec(campaign="scaling", executor=mode)
 
 
 def test_load_spec_with_executor(tmp_path):
@@ -143,6 +144,13 @@ def test_load_spec_with_executor(tmp_path):
         json.dumps({"campaign": "scaling", "workers": 2, "executor": "thread"})
     )
     assert load_campaign_spec(path).executor == "thread"
+
+
+def test_load_spec_rejects_auto_executor(tmp_path):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"campaign": "scaling", "executor": "auto"}))
+    with pytest.raises(ValueError, match="unknown executor 'auto'"):
+        load_campaign_spec(path)
 
 
 def test_thread_campaign_matches_process_campaign():

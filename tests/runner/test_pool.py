@@ -84,19 +84,12 @@ class TestResolveExecutor:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
             resolve_executor("greenlet")
-        assert set(EXECUTORS) == {"auto", "thread", "process"}
+        with pytest.raises(ValueError, match="unknown executor"):
+            resolve_executor("auto")
+        assert set(EXECUTORS) == {"thread", "process"}
 
-    def test_auto_follows_the_active_kernel(self, monkeypatch):
-        from repro.model import kernels
-
-        expected = "thread" if kernels.active_kernel().releases_gil else "process"
-        assert resolve_executor("auto") == expected
-        assert resolve_executor(None) == expected
-        # A GIL-free kernel flips auto to threads.
-        monkeypatch.setattr(
-            type(kernels.active_kernel()), "releases_gil", True
-        )
-        assert resolve_executor("auto") == "thread"
+    def test_none_means_process(self):
+        assert resolve_executor(None) == "process"
 
 
 class TestPartition:

@@ -222,40 +222,32 @@ def test_restore_validates_structure(setup, tmp_path):
         restore_engine(wrong_links, network)
 
 
-def test_checkpoint_preserves_kernel_pin(setup, tmp_path):
+def test_restore_ignores_legacy_kernel_pin(setup):
+    """Documents from before the single frequency kernel carry a
+    ``"kernel"`` pin (here one naming a kernel that no longer exists);
+    restore ignores it and the stream continues bit for bit."""
     network, dense = setup
-    engine = StreamingEstimator(
+    uninterrupted = _engine(network, with_alerts=False)
+    uninterrupted.ingest(dense)
+
+    interrupted = _engine(network, with_alerts=False)
+    interrupted.ingest(dense[:430])
+    state = checkpoint_state(interrupted)
+    assert "kernel" not in state
+    legacy = json.loads(json.dumps(dict(state, kernel="numba")))
+    assert legacy["version"] == 1
+    resumed = restore_engine(
+        legacy,
         network,
         CorrelationCompleteEstimator(EstimatorConfig(pruning_tolerance=0.0)),
-        window=150,
-        stride=70,
-        kernel="numpy",
     )
-    engine.ingest(dense[:300])
-    path = save_checkpoint(engine, tmp_path / "pinned.json")
-    restored = restore_engine(
-        path,
-        network,
-        estimator=CorrelationCompleteEstimator(
-            EstimatorConfig(pruning_tolerance=0.0)
-        ),
-    )
-    assert restored.kernel == "numpy"
-    # An unpinned engine round-trips as unpinned.
-    free = _engine(network, with_alerts=False)
-    free.ingest(dense[:300])
-    path = save_checkpoint(free, tmp_path / "free.json")
-    restored = restore_engine(
-        path,
-        network,
-        estimator=CorrelationCompleteEstimator(
-            EstimatorConfig(pruning_tolerance=0.0)
-        ),
-    )
-    assert restored.kernel is None
+    resumed.ingest(dense[430:])
 
-
-def test_engine_rejects_unknown_kernel(setup):
-    network, _ = setup
-    with pytest.raises(ValueError, match="unknown kernel"):
-        StreamingEstimator(network, window=16, kernel="simd")
+    windows = interrupted.timeline.windows + resumed.timeline.windows
+    assert [(w.start, w.stop) for w in windows] == (
+        uninterrupted.timeline.window_spans()
+    )
+    for full, part in zip(uninterrupted.timeline.windows, windows):
+        np.testing.assert_array_equal(
+            full.model.link_marginals(), part.model.link_marginals()
+        )

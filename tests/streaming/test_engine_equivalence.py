@@ -288,35 +288,3 @@ def test_run_from_chunk_iterator(network, horizon):
     timeline = engine.run(chunks, max_intervals=500)
     assert engine.intervals_ingested == 500
     assert timeline.window_spans() == [(0, 200), (200, 400)]
-
-
-def test_kernel_pin_is_scoped_to_refits(network, horizon):
-    """A pinned engine fits identically and never leaks the selection."""
-    from repro.model import kernels
-    from repro.probability.independence import IndependenceEstimator
-
-    dense = horizon
-    kernels.reset_kernel_selection()
-    free = StreamingEstimator(
-        network,
-        IndependenceEstimator(EstimatorConfig(pruning_tolerance=0.0)),
-        window=100,
-        stride=50,
-    )
-    pinned = StreamingEstimator(
-        network,
-        IndependenceEstimator(EstimatorConfig(pruning_tolerance=0.0)),
-        window=100,
-        stride=50,
-        kernel="numpy",
-    )
-    free.ingest(dense[:400])
-    pinned.ingest(dense[:400])
-    assert len(free.timeline.windows) == len(pinned.timeline.windows)
-    for a, b in zip(free.timeline.windows, pinned.timeline.windows):
-        np.testing.assert_array_equal(
-            a.model.link_marginals(), b.model.link_marginals()
-        )
-    # Ingesting through the pinned engine must not change the global
-    # selection outside its refits.
-    assert kernels.requested_kernel() == kernels.AUTO
