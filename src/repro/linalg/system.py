@@ -460,24 +460,48 @@ class EquationSystem:
             return outcome.x
 
     def solve(
-        self, tol: float = DEFAULT_TOL, upper_bound: Optional[float] = None
+        self,
+        tol: float = DEFAULT_TOL,
+        upper_bound: Optional[float] = None,
+        null_basis: Optional[np.ndarray] = None,
     ) -> Solution:
         """Solve by (optionally bounded) least squares and classify
         identifiability.
 
+        Identifiability comes from the null space of the data rows (prior
+        rows never count). ``null_basis`` lets a caller that already holds
+        part of that null space skip re-deriving it: given an orthonormal
+        basis ``N`` (n, p) of the null space of *some* of the data rows,
+        the data rows' null space is ``N null(D N)``, so only the rows of
+        the projection ``D N`` that still add rank are factorized, as a
+        (rows, p) QR + SVD instead of one over the whole (m, n) system.
+        Without a basis, ``N`` is the whole space and the factorization is
+        the QR of the unique data rows followed by the SVD of its triangle.
+
         Parameters
         ----------
+        tol:
+            Rank tolerance. A singular value of the factorized rows counts
+            when it exceeds ``tol * max(shape) * largest``; with a basis, a
+            row whose projection has ``||r N|| <= tol`` adds no rank (the
+            test Algorithm 1 admits rows with).
         upper_bound:
             When given, solve subject to ``x_i <= upper_bound`` for every
             unknown. The log-domain probability systems use 0 (probabilities
             cannot exceed 1); without the bound, noise can push one
             unknown's log-probability positive and dump the compensating
             mass on another, badly misattributing congestion.
+        null_basis:
+            Optional orthonormal basis, shape (num_unknowns, p), of the null
+            space of a subset of the data rows; Correlation-complete passes
+            Algorithm 1's final basis. The least-squares values do not
+            depend on it.
 
         Raises
         ------
         EstimationError
-            If the system has no equations but unknowns exist.
+            If the system has no equations but unknowns exist, or
+            ``null_basis`` does not have one row per unknown.
         """
         if self.num_unknowns == 0:
             return Solution(
@@ -488,6 +512,11 @@ class EquationSystem:
             )
         if self._num_equations == 0:
             raise EstimationError("cannot solve an empty equation system")
+        if null_basis is not None and null_basis.shape[0] != self.num_unknowns:
+            raise EstimationError(
+                f"null_basis has {null_basis.shape[0]} rows, "
+                f"expected {self.num_unknowns}"
+            )
         columns, entry_values, row_lengths = self._entries()
         rhs = self.rhs
         weights = self.weights
@@ -552,21 +581,33 @@ class EquationSystem:
         data_rhs = rhs[data_mask]
         if data_rhs.shape[0] == 0:
             raise EstimationError("cannot solve a system with only prior equations")
-        # Rank and null space of the data rows, via SVD of their QR
-        # triangle: A'A = R'R, so singular values and right singular
-        # vectors coincide while the decomposition runs on (n, n).
-        # Duplicate rows don't change the row space, so only one
-        # representative per group enters the factorization.
+        # Rank and null space of the data rows. Duplicate rows don't change
+        # the row space, so only one representative per group counts.
         data_groups = np.unique(inverse[data_mask])
         data_unique = unique_rows[data_groups]
-        data_triangle = np.linalg.qr(data_unique, mode="r")
-        _, singular_values, vt = np.linalg.svd(data_triangle, full_matrices=True)
-        if singular_values.size and singular_values.max() > 0:
-            cutoff = tol * max(data_unique.shape) * singular_values.max()
-            rank = int((singular_values > cutoff).sum())
+        # Project onto the given null space (the whole space when none is
+        # given); rows whose projection vanishes add no rank.
+        if null_basis is None:
+            projected = data_unique
         else:
-            rank = 0
-        basis = vt[rank:].T
+            projected = data_unique @ null_basis
+            projected = projected[np.linalg.norm(projected, axis=1) > tol]
+        gained = 0
+        basis = null_basis
+        if projected.shape[0]:
+            # SVD of the projection's QR triangle: P'P = R'R, so singular
+            # values and right singular vectors coincide while the
+            # decomposition runs on at most (p, p).
+            triangle = np.linalg.qr(projected, mode="r")
+            _, singular_values, vt = np.linalg.svd(triangle, full_matrices=True)
+            if singular_values.size and singular_values.max() > 0:
+                cutoff = tol * max(projected.shape) * singular_values.max()
+                gained = int((singular_values > cutoff).sum())
+            basis = vt[gained:].T
+            if null_basis is not None:
+                basis = null_basis @ basis
+        # The rows behind the basis already hold rank n - p.
+        rank = self.num_unknowns - projected.shape[1] + gained
         if basis.shape[1] == 0:
             identifiable = np.ones(self.num_unknowns, dtype=bool)
         else:

@@ -374,8 +374,11 @@ class ProbabilityEstimator(ABC):
             context.frequency = FrequencyCache(context.observations)
 
     def _stage_solve(self, context: FitContext) -> None:
-        """Bounded least squares in log domain (probabilities <= 1)."""
-        context.solution = context.system.solve(upper_bound=0.0)
+        """Bounded least squares in log domain (probabilities <= 1),
+        reusing discover's null-space basis when it derived one."""
+        context.solution = context.system.solve(
+            upper_bound=0.0, null_basis=context.null_basis
+        )
 
     # ------------------------------------------------------------------
     # Estimator-specific stages

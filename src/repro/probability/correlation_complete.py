@@ -15,7 +15,9 @@ subset, the probability that all its links are good, by:
    Algorithm 2 (lines 8-22);
 4. solving the final log-domain least-squares system and classifying each
    unknown as identifiable iff the final null space vanishes on its
-   coordinate.
+   coordinate. The solve starts from step 3's basis rather than
+   re-deriving it, and only factorizes the redundancy-pass rows that
+   still add rank.
 
 Steps 1-3 are the pipeline's ``discover`` stage, the redundancy pass plus
 system construction its ``assemble`` stage. Deviations from the listing
@@ -72,7 +74,9 @@ class CorrelationCompleteEstimator(ProbabilityEstimator):
         context.index, context.pool = self._build_index(
             context.network, context.observations, context.active
         )
-        context.path_sets = self._select_path_sets(context.index, context.frequency)
+        context.path_sets, context.null_basis = self._select_path_sets(
+            context.index, context.frequency
+        )
         if not context.path_sets:
             raise EstimationError(
                 "Correlation-complete: no usable path-set equations "
@@ -190,8 +194,13 @@ class CorrelationCompleteEstimator(ProbabilityEstimator):
 
     def _select_path_sets(
         self, index: SubsetIndex, frequency: FrequencyCache
-    ) -> List[FrozenSet[int]]:
-        """Algorithm 1: choose the path sets whose equations enter the system."""
+    ) -> Tuple[List[FrozenSet[int]], np.ndarray]:
+        """Algorithm 1: choose the path sets whose equations enter the system.
+
+        Returns the chosen path sets and the final orthonormal null-space
+        basis of their rows; every admitted row removed exactly one of its
+        directions.
+        """
         chosen: List[FrozenSet[int]] = []
         rows: List[np.ndarray] = []
         seen: Set[FrozenSet[int]] = set()
@@ -223,7 +232,7 @@ class CorrelationCompleteEstimator(ProbabilityEstimator):
             if added is None:
                 break
             basis = null_space_update(basis, added)
-        return chosen
+        return chosen, basis
 
     def _add_rank_increasing_row(
         self,
@@ -302,9 +311,10 @@ class CorrelationCompleteEstimator(ProbabilityEstimator):
         Algorithm 1 guarantees *rank* with the minimum number of equations;
         with finite ``T`` each empirical frequency is noisy, so the solve
         additionally averages over the already-computed candidate pool
-        (usable, non-duplicate path sets). The rows lie in the span of the
-        selected system, leaving identifiability untouched, and are weighted
-        by their estimated precision — this is an implementation refinement
+        (usable, non-duplicate path sets). The rows usually lie in the span
+        of the selected system; the solve detects any that do not, and their
+        extra rank counts toward identifiability. They are weighted by
+        their estimated precision — this is an implementation refinement
         over the paper's listing, documented in DESIGN.md.
         """
         seen = set(selected)

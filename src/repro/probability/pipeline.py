@@ -389,6 +389,10 @@ class FitContext:
     index: Optional["SubsetIndex"] = None
     pool: List[FrozenSet[int]] = field(default_factory=list)
     path_sets: List[FrozenSet[int]] = field(default_factory=list)
+    # Orthonormal null-space basis of the ``path_sets`` rows, when discover
+    # derived one (Algorithm 1); the solve classifies identifiability from
+    # it instead of re-deriving it. Lives only as long as the fit.
+    null_basis: Optional[np.ndarray] = None
     # --- assemble products ----------------------------------------------
     extra_path_sets: List[FrozenSet[int]] = field(default_factory=list)
     used_path_sets: List[FrozenSet[int]] = field(default_factory=list)

@@ -244,10 +244,13 @@ def dense_oracle_solve(
     system: EquationSystem,
     tol: float = DEFAULT_TOL,
     upper_bound: Optional[float] = None,
+    null_basis: Optional[np.ndarray] = None,
 ) -> Solution:
     """Solve a production system's equations with the frozen dense body.
 
     Monkeypatched over :meth:`EquationSystem.solve`, this turns any
     estimator fit into the fit the dense storage mode would have produced.
+    ``null_basis`` is accepted and ignored: the frozen body always
+    re-derives the null space with a full QR + SVD.
     """
     return DenseEquationSystem.from_system(system).solve(tol, upper_bound)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.linalg.nullspace import (
+    DEFAULT_TOL,
     null_space,
     null_space_update,
     rank,
@@ -113,3 +115,79 @@ def test_null_space_columns_orthonormal(matrix):
     if basis.shape[1]:
         gram = basis.T @ basis
         assert np.allclose(gram, np.eye(basis.shape[1]), atol=1e-8)
+
+
+# ----------------------------------------------------------------------
+# Householder downdate
+# ----------------------------------------------------------------------
+def _forbid_factorizations(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("null_space_update must not factorize")
+
+    monkeypatch.setattr(np.linalg, "qr", forbidden)
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+
+
+def test_update_makes_no_factorization_calls(monkeypatch):
+    rng = np.random.default_rng(1)
+    basis = null_space(rng.standard_normal((5, 12)))
+    _forbid_factorizations(monkeypatch)
+    for _ in range(basis.shape[1]):
+        basis = null_space_update(basis, rng.standard_normal(12))
+    assert basis.shape == (12, 0)
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_chained_downdates_stay_orthonormal_and_exact(binary):
+    """200+ chained updates: orthonormal to 1e-12, annihilate every
+    admitted row to 1e-10 of the system's norm, one column per row."""
+    rng = np.random.default_rng(7)
+    num_unknowns = 240
+    basis = np.eye(num_unknowns)
+    admitted = []
+    while len(admitted) < 220:
+        if binary:
+            row = (rng.random(num_unknowns) < 0.1).astype(float)
+        else:
+            row = rng.standard_normal(num_unknowns)
+        updated = null_space_update(basis, row)
+        if rank_increases(basis, row):
+            assert updated.shape[1] == basis.shape[1] - 1
+            admitted.append(row)
+        else:
+            assert updated is basis
+        basis = updated
+    system = np.vstack(admitted)
+    gram = basis.T @ basis
+    assert np.linalg.norm(gram - np.eye(basis.shape[1])) <= 1e-12
+    assert np.linalg.norm(system @ basis) <= 1e-10 * np.linalg.norm(system)
+
+
+def test_update_keeps_zero_rows_exactly_zero():
+    """SortByHammingWeight counts nonzeros per basis row, so a row that
+    is exactly zero (an unknown already pinned down) must stay so."""
+    rng = np.random.default_rng(3)
+    basis = np.linalg.qr(rng.standard_normal((10, 6)))[0]
+    basis[[2, 7]] = 0.0
+    for _ in range(4):
+        basis = null_space_update(basis, rng.standard_normal(10))
+    assert basis.shape == (10, 2)
+    assert np.all(basis[[2, 7]] == 0.0)
+
+
+def test_update_of_single_column_empties_basis():
+    basis = np.array([[0.6], [0.8], [0.0]])
+    updated = null_space_update(basis, np.array([1.0, 0.0, 0.0]))
+    assert updated.shape == (3, 0)
+
+
+def test_update_uses_the_norm_test_of_algorithm_1():
+    """A row Algorithm 1 admits (``||r N|| > tol``) removes a direction
+    even when no single coordinate of ``r N`` exceeds ``tol``."""
+    basis = np.eye(4)
+    row = np.full(4, 0.8 * DEFAULT_TOL)
+    assert rank_increases(basis, row)
+    updated = null_space_update(basis, row)
+    assert updated.shape == (4, 3)
+    assert np.allclose(updated.T @ updated, np.eye(3), atol=1e-12)
+    assert np.abs(row @ updated).max() <= 1e-24

@@ -9,6 +9,7 @@ from scipy.optimize import lsq_linear
 from repro import obs
 from repro.exceptions import EstimationError
 from repro.linalg import system as system_module
+from repro.linalg.nullspace import null_space
 from repro.linalg.system import EquationSystem
 
 
@@ -189,3 +190,72 @@ def test_nnls_success_is_not_counted():
     with obs.use_mode("metrics"), obs.capture_metrics() as captured:
         _fallback_system()[0].solve(upper_bound=0.0)
     assert _fallback_count(captured.snapshot()) == 0
+
+
+# ----------------------------------------------------------------------
+# Solving from a given null-space basis
+# ----------------------------------------------------------------------
+def _system(rows, rhs, prior_rows=()):
+    system = EquationSystem(len(rows[0]))
+    for row, value in zip(rows, rhs):
+        system.add(np.asarray(row, dtype=float), value)
+    for row in prior_rows:
+        system.add(np.asarray(row, dtype=float), 0.0, weight=0.5, prior=True)
+    return system
+
+
+def test_basis_solve_removes_extra_row_outside_the_span():
+    """The basis covers only the first row; the extra data row lies
+    outside its span and must still remove a null direction."""
+    chosen = [1.0, 1.0, 0.0, 0.0]
+    system = _system([chosen, [0.0, 0.0, 1.0, 0.0]], [-1.0, -2.0])
+    basis = null_space(np.array([chosen]))
+    solution = system.solve(upper_bound=0.0, null_basis=basis)
+    reference = system.solve(upper_bound=0.0)
+    assert solution.rank == reference.rank == 2
+    assert solution.identifiable.tolist() == [False, False, True, False]
+    assert np.array_equal(solution.identifiable, reference.identifiable)
+    assert np.array_equal(solution.values, reference.values)
+    assert solution.residual == reference.residual
+
+
+def test_basis_solve_ignores_prior_rows():
+    chosen = [1.0, 1.0, 0.0]
+    system = _system([chosen], [-1.0], prior_rows=[[0.0, 0.0, 1.0]])
+    solution = system.solve(null_basis=null_space(np.array([chosen])))
+    assert solution.rank == 1
+    assert not solution.identifiable.any()
+
+
+def test_empty_basis_makes_every_unknown_identifiable(monkeypatch):
+    system = _system([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [-1.0, -2.0, -3.0])
+    # Nothing is left to classify, so the solve never reaches an SVD.
+    monkeypatch.setattr(np.linalg, "svd", None)
+    solution = system.solve(upper_bound=0.0, null_basis=np.zeros((2, 0)))
+    assert solution.rank == 2
+    assert solution.identifiable.all()
+
+
+def test_basis_with_wrong_row_count_rejected():
+    system = _system([[1.0, 0.0]], [-1.0])
+    with pytest.raises(EstimationError, match="null_basis has 3 rows"):
+        system.solve(null_basis=np.zeros((3, 1)))
+
+
+def test_basis_solve_agrees_with_full_factorization_on_random_systems():
+    """Any basis of a subset of the data rows classifies exactly as the
+    full QR + SVD does, and never changes the least-squares values."""
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        rows = (rng.random((rng.integers(2, 14), 10)) < 0.3).astype(float)
+        rows = rows[rows.any(axis=1)]
+        if rows.shape[0] == 0:
+            continue
+        system = _system(rows, -rng.random(rows.shape[0]))
+        subset = rows[: rng.integers(0, rows.shape[0] + 1)]
+        basis = null_space(subset) if subset.shape[0] else np.eye(10)
+        solution = system.solve(upper_bound=0.0, null_basis=basis)
+        reference = system.solve(upper_bound=0.0)
+        assert solution.rank == reference.rank
+        assert np.array_equal(solution.identifiable, reference.identifiable)
+        assert np.array_equal(solution.values, reference.values)
