@@ -12,7 +12,10 @@ subset, the probability that all its links are good, by:
    (``SortByHammingWeight``), candidate path sets are enumerated inside
    ``Paths(E) \\ Paths(complement(E))``, and the first row ``r`` with
    ``||r N|| > 0`` is kept, after which ``N`` is shrunk *incrementally* by
-   Algorithm 2 (lines 8-22);
+   Algorithm 2 (lines 8-22). Each candidate is tested at most once per
+   fit: a downdate only shrinks the span of ``N``, so ``||r N||`` never
+   grows and a rejected candidate stays rejected. Skipping the re-tests
+   is exact — the same path sets are chosen in the same order;
 4. solving the final log-domain least-squares system and classifying each
    unknown as identifiable iff the final null space vanishes on its
    coordinate. The solve starts from step 3's basis rather than
@@ -203,7 +206,7 @@ class CorrelationCompleteEstimator(ProbabilityEstimator):
         """
         chosen: List[FrozenSet[int]] = []
         rows: List[np.ndarray] = []
-        seen: Set[FrozenSet[int]] = set()
+        admitted: Set[FrozenSet[int]] = set()
 
         # Lines 1-5: one selector path set per correlation subset. All
         # selector frequencies are prefetched through one batched kernel
@@ -213,12 +216,12 @@ class CorrelationCompleteEstimator(ProbabilityEstimator):
         ]
         frequency.prefetch([s for s in selectors if s])
         for path_set in selectors:
-            if path_set in seen:
+            if path_set in admitted:
                 continue
             row = self._usable_row(index, frequency, path_set)
             if row is None:
                 continue
-            seen.add(path_set)
+            admitted.add(path_set)
             chosen.append(path_set)
             rows.append(row)
 
@@ -227,12 +230,29 @@ class CorrelationCompleteEstimator(ProbabilityEstimator):
         basis = null_space(matrix)
 
         # Lines 8-22: grow rank with incrementally-updated null space.
+        seen = set(admitted)
+        scans: Dict[int, Tuple[List[FrozenSet[int]], int]] = {}
         while basis.shape[1] > 0:
-            added = self._add_rank_increasing_row(index, frequency, basis, seen, chosen)
+            added = self._add_rank_increasing_row(
+                index, frequency, basis, seen, admitted, chosen, scans
+            )
             if added is None:
                 break
             basis = null_space_update(basis, added)
         return chosen, basis
+
+    def _candidate_path_sets(
+        self, index: SubsetIndex, subset: FrozenSet[int]
+    ) -> List[FrozenSet[int]]:
+        """Line 11's bounded enumeration inside ``Paths(E) \\ Paths(complement(E))``."""
+        return [
+            frozenset(combo)
+            for combo in bounded_subsets(
+                sorted(index.paths_selector(subset)),
+                max_size=self.config.path_set_max_size,
+                max_count=self.config.path_set_max_count,
+            )
+        ]
 
     def _add_rank_increasing_row(
         self,
@@ -240,7 +260,9 @@ class CorrelationCompleteEstimator(ProbabilityEstimator):
         frequency: FrequencyCache,
         basis: np.ndarray,
         seen: Set[FrozenSet[int]],
+        admitted: Set[FrozenSet[int]],
         chosen: List[FrozenSet[int]],
+        scans: Dict[int, Tuple[List[FrozenSet[int]], int]],
     ) -> Optional[np.ndarray]:
         """One pass of lines 9-20; returns the added row or None.
 
@@ -248,52 +270,67 @@ class CorrelationCompleteEstimator(ProbabilityEstimator):
         non-zero entries of their null-space row — if unknown ``i`` has many
         non-zeros in ``N``, a row touching it is likely to satisfy
         ``||r N|| > 0``.
+
+        Each candidate path set is tested at most once per fit. A candidate
+        the scan tests and rejects — unusable, frequency at most
+        ``min_frequency``, or ``||r N|| <= DEFAULT_TOL`` — joins ``seen``
+        and is never tested again. That is exact: usability and frequency
+        are fixed within a fit, and every Algorithm 2 downdate replaces the
+        orthonormal ``N`` by an orthonormal basis of a subspace of its
+        span, so ``||r N||`` can only shrink and a rejected row stays
+        rejected. The first admissible candidate in visit order, and hence
+        the chosen path sets and their order, are those of a scan that
+        re-tests everything.
+
+        ``scans`` keeps each subset position's enumeration across passes
+        as ``(pending, offset)``: ``pending`` is what follows the last
+        candidate admitted there (empty once every candidate was rejected),
+        and ``offset`` counts the rejected candidates dropped before it.
         """
         weights = np.count_nonzero(np.abs(basis) > 1e-12, axis=1)
         order = np.argsort(-weights, kind="stable")
-        for position in order:
-            if weights[position] == 0:
-                # Remaining subsets are already orthogonal to every null
-                # direction; no row through them can add rank.
-                break
-            subset = index.subsets[int(position)]
-            base = sorted(index.paths_selector(subset))
-            if not base:
-                continue
-            combos = [
-                frozenset(combo)
-                for combo in bounded_subsets(
-                    base,
-                    max_size=self.config.path_set_max_size,
-                    max_count=self.config.path_set_max_count,
-                )
-            ]
-            fresh = [c for c in combos if c not in seen]
-            # Candidates are evaluated in small batches — frequencies via
-            # one kernel call, rows via one index sweep, rank tests via one
-            # matrix product per batch — and the first usable
-            # rank-increasing candidate wins, exactly as a sequential
-            # line-by-line scan would choose. Chunking keeps the common
-            # case (an early candidate wins) from paying for the full
-            # slate.
-            chunk = 16
-            for start in range(0, len(fresh), chunk):
-                block = fresh[start : start + chunk]
+        # Candidates are evaluated in blocks of ``chunk`` — frequencies via
+        # one kernel call, rows via one index sweep, rank tests via one
+        # matrix product per block — and the first usable rank-increasing
+        # candidate wins, exactly as a sequential line-by-line scan would
+        # choose. Chunking keeps the common case (an early candidate wins)
+        # from paying for the full slate. Blocks tile the not-yet-admitted
+        # candidates; rejected ones keep their tile slot but are not
+        # re-tested, so the frequency kernel sees the same path sets as a
+        # scan that re-tests everything.
+        chunk = 16
+        # Subsets with weight 0 are already orthogonal to every null
+        # direction; no row through them can add rank.
+        for position in order[: np.count_nonzero(weights)].tolist():
+            pending, offset = scans.get(position) or (
+                self._candidate_path_sets(index, index.subsets[position]),
+                0,
+            )
+            fresh = [c for c in pending if c not in admitted]
+            for start in range(-(offset % chunk), len(fresh), chunk):
+                members = [
+                    j
+                    for j in range(max(start, 0), min(start + chunk, len(fresh)))
+                    if fresh[j] not in seen
+                ]
+                if not members:
+                    continue
+                block = [fresh[j] for j in members]
                 frequencies = frequency.query_many(block)
                 rows, usable = index.rows_matrix(block)
-                if rows.shape[0] == 0:
-                    continue
-                gains = np.linalg.norm(rows @ basis, axis=1)
-                candidate_ok = frequencies[usable] > self.config.min_frequency
-                candidates = [c for c, keep in zip(block, usable) if keep]
-                for candidate, ok, gain, row in zip(
-                    candidates, candidate_ok, gains, rows
-                ):
-                    if not ok or gain <= DEFAULT_TOL:
-                        continue
+                tested = iter(zip(rows, np.linalg.norm(rows @ basis, axis=1)))
+                for j, candidate, ok, value in zip(members, block, usable, frequencies):
                     seen.add(candidate)
+                    if not ok:
+                        continue
+                    row, gain = next(tested)
+                    if value <= self.config.min_frequency or gain <= DEFAULT_TOL:
+                        continue
+                    admitted.add(candidate)
                     chosen.append(candidate)
+                    scans[position] = (fresh[j + 1 :], offset + j)
                     return row
+            scans[position] = ([], offset + len(fresh))
         return None
 
     # ------------------------------------------------------------------
@@ -326,7 +363,7 @@ class CorrelationCompleteEstimator(ProbabilityEstimator):
         if not fresh:
             return []
         frequencies = frequency.query_many(fresh)
-        _, usable = index.rows_matrix(fresh)
+        _, _, usable = index.decompose_batch(fresh)
         keep = usable & (frequencies > self.config.min_frequency)
         return [path_set for path_set, ok in zip(fresh, keep) if ok]
 
@@ -355,6 +392,9 @@ class CorrelationCompleteEstimator(ProbabilityEstimator):
         """
         if self.config.prior_weight <= 0.0:
             return
+        columns: List[int] = []
+        values: List[float] = []
+        lengths: List[int] = []
         for subset in index.subsets:
             if len(subset) < 2:
                 continue
@@ -365,17 +405,28 @@ class CorrelationCompleteEstimator(ProbabilityEstimator):
                     break
                 singleton_positions.append(index.position(singleton))
             else:
+                joint = index.position(subset)
                 if self.config.prior_mode == "independence":
-                    row = np.zeros(len(index))
-                    row[index.position(subset)] = 1.0
-                    row[singleton_positions] -= 1.0
-                    system.add(row, 0.0, self.config.prior_weight, prior=True)
+                    # log g_S - sum_e log g_e = 0
+                    columns.append(joint)
+                    columns.extend(singleton_positions)
+                    values.append(1.0)
+                    values.extend([-1.0] * len(singleton_positions))
+                    lengths.append(1 + len(singleton_positions))
                 else:
+                    # log g_S - log g_e = 0, one row per member e
                     for position in singleton_positions:
-                        row = np.zeros(len(index))
-                        row[index.position(subset)] = 1.0
-                        row[position] -= 1.0
-                        system.add(row, 0.0, self.config.prior_weight, prior=True)
+                        columns.extend((joint, position))
+                        values.extend((1.0, -1.0))
+                        lengths.append(2)
+        system.add_sparse_batch(
+            columns,
+            lengths,
+            np.zeros(len(lengths)),
+            np.full(len(lengths), self.config.prior_weight),
+            values=values,
+            prior=True,
+        )
 
 
 class CorrelationCompleteNoRedundancy(CorrelationCompleteEstimator):

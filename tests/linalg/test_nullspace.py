@@ -140,11 +140,17 @@ def test_update_makes_no_factorization_calls(monkeypatch):
 @pytest.mark.parametrize("binary", [False, True])
 def test_chained_downdates_stay_orthonormal_and_exact(binary):
     """200+ chained updates: orthonormal to 1e-12, annihilate every
-    admitted row to 1e-10 of the system's norm, one column per row."""
+    admitted row to 1e-10 of the system's norm, one column per row.
+
+    Rejection is monotone, which lets Algorithm 1's rank scan test each
+    candidate once per fit: a row with ``||r N|| <= tol`` under one basis
+    still has it after every later update."""
     rng = np.random.default_rng(7)
+    mixing = np.random.default_rng(11)
     num_unknowns = 240
     basis = np.eye(num_unknowns)
     admitted = []
+    rejected = []
     while len(admitted) < 220:
         if binary:
             row = (rng.random(num_unknowns) < 0.1).astype(float)
@@ -156,7 +162,16 @@ def test_chained_downdates_stay_orthonormal_and_exact(binary):
             admitted.append(row)
         else:
             assert updated is basis
+            rejected.append(row)
         basis = updated
+        # A row in the span of the admitted ones is rejected now ...
+        first, second = mixing.integers(len(admitted), size=2)
+        combination = admitted[first] + admitted[second]
+        assert not rank_increases(basis, combination)
+        rejected.append(combination)
+        # ... and every row rejected so far stays rejected.
+        gains = np.linalg.norm(np.vstack(rejected) @ basis, axis=1)
+        assert gains.max() <= DEFAULT_TOL
     system = np.vstack(admitted)
     gram = basis.T @ basis
     assert np.linalg.norm(gram - np.eye(basis.shape[1])) <= 1e-12

@@ -13,15 +13,22 @@ is deterministic. This file pins them on the small Brite fixture:
 * Independence and Correlation-heuristic get no basis: two QRs (the
   least-squares compression and the data rows' triangle) and one SVD of
   that triangle.
+
+It also pins Algorithm 1's rank scan to one test per candidate path set:
+a candidate the scan rejected never reaches ``SubsetIndex.rows_matrix``
+again in the same fit.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.probability.base import EstimatorConfig
 from repro.probability.registry import make_estimator
+from repro.probability.subsets import SubsetIndex
 from repro.simulation.experiment import run_experiment
 from repro.simulation.probing import PathProber
 from repro.simulation.scenarios import ScenarioConfig, ScenarioKind, build_scenario
@@ -70,3 +77,33 @@ def test_factorizations_per_fit(name, subset_size, brite_case, monkeypatch):
     assert width > 0
     observed = [(kind, "n" if shape[1] == width else "<n") for kind, shape in calls]
     assert observed == EXPECTED_CALLS[name]
+
+
+@pytest.mark.parametrize(
+    "name", ["Correlation-complete", "Correlation-complete (no redundancy)"]
+)
+@pytest.mark.parametrize("subset_size", [1, 2])
+def test_rank_scan_tests_each_path_set_once(name, subset_size, brite_case, monkeypatch):
+    network, observations = brite_case
+    estimator = make_estimator(
+        name, EstimatorConfig(requested_subset_size=subset_size, seed=3)
+    )
+    blocks = []
+    original = SubsetIndex.rows_matrix
+
+    def recording(index, path_sets):
+        blocks.append([frozenset(path_set) for path_set in path_sets])
+        return original(index, path_sets)
+
+    monkeypatch.setattr(SubsetIndex, "rows_matrix", recording)
+    model = estimator.fit(network, observations)
+    chosen = set(model.report.path_sets)
+    tested = Counter()
+    for block in blocks:
+        # A block's candidates are tested in order up to its admitted one;
+        # the batch also built rows for the candidates behind it, but the
+        # scan stopped before testing them.
+        admitted = [i for i, path_set in enumerate(block) if path_set in chosen]
+        tested.update(block[: admitted[0] + 1] if admitted else block)
+    assert tested
+    assert [path_set for path_set, count in tested.items() if count > 1] == []
